@@ -144,6 +144,17 @@ type SynopsisBatchFuser[S any] interface {
 	FuseAll(acc S, in []S) S
 }
 
+// SynopsisSizer is an optional Aggregate extension: aggregates whose
+// synopsis encoding has a fixed upper bound (the pure-sketch ones — Count,
+// Sum, Average) report it, and the epoch engine pre-sizes its encode scratch
+// and frame buffers to it. Sketches travel byte-trimmed, so a synopsis can be
+// wider this epoch than in any epoch before; sized to the bound up front, the
+// steady-state loop still never regrows a buffer.
+type SynopsisSizer interface {
+	// MaxSynopsisBytes bounds len(AppendSynopsis(nil, s)) over every s.
+	MaxSynopsisBytes() int
+}
+
 // PartialWords returns the message size of a tree partial in 32-bit words,
 // measured from its wire encoding — the only sanctioned way to cost a
 // partial.

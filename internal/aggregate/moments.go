@@ -126,7 +126,7 @@ func (a *Moments) Fuse(acc, in MomentsSynopsis) MomentsSynopsis {
 }
 
 // AppendSynopsis implements Aggregate: the four power-sum sketches
-// back-to-back, 4K words.
+// back-to-back, each self-delimiting.
 func (a *Moments) AppendSynopsis(dst []byte, s MomentsSynopsis) []byte {
 	dst = s.N.AppendWire(dst)
 	dst = s.S1.AppendWire(dst)

@@ -152,11 +152,14 @@ func (a *Sum) DecodeSynopsisInto(data []byte, dst *sketch.Sketch) (*sketch.Sketc
 	return dst, nil
 }
 
-// AppendSynopsis implements Aggregate: the raw K-bitmap FM sketch, exactly
-// K 32-bit words.
+// AppendSynopsis implements Aggregate: the K-bitmap FM sketch in its
+// byte-trimmed wire form, at most 1+4K bytes.
 func (a *Sum) AppendSynopsis(dst []byte, s *sketch.Sketch) []byte {
 	return s.AppendWire(dst)
 }
+
+// MaxSynopsisBytes implements SynopsisSizer.
+func (a *Sum) MaxSynopsisBytes() int { return sketch.WireBytes(a.K) }
 
 // DecodeSynopsis implements Aggregate.
 func (a *Sum) DecodeSynopsis(data []byte) (*sketch.Sketch, error) {
@@ -288,11 +291,14 @@ func (a *Count) DecodeSynopsisInto(data []byte, dst *sketch.Sketch) (*sketch.Ske
 	return dst, nil
 }
 
-// AppendSynopsis implements Aggregate: the raw K-bitmap FM bit vector of
-// Figure 3, exactly K 32-bit words.
+// AppendSynopsis implements Aggregate: the K-bitmap FM bit vector of
+// Figure 3 in its byte-trimmed wire form, at most 1+4K bytes.
 func (a *Count) AppendSynopsis(dst []byte, s *sketch.Sketch) []byte {
 	return s.AppendWire(dst)
 }
+
+// MaxSynopsisBytes implements SynopsisSizer.
+func (a *Count) MaxSynopsisBytes() int { return sketch.WireBytes(a.K) }
 
 // DecodeSynopsis implements Aggregate.
 func (a *Count) DecodeSynopsis(data []byte) (*sketch.Sketch, error) {
@@ -571,13 +577,8 @@ func (a *Average) CopySynopsisInto(dst, src AvgSynopsis) AvgSynopsis {
 // DecodeSynopsisInto implements SynopsisRecycler.
 func (a *Average) DecodeSynopsisInto(data []byte, dst AvgSynopsis) (AvgSynopsis, error) {
 	r := wire.NewReader(data)
-	half := sketch.WireBytes(a.K)
-	if d := r.Take(half); d != nil {
-		_ = dst.Sum.LoadWire(d) // length is exact by construction
-	}
-	if d := r.Take(half); d != nil {
-		_ = dst.Count.LoadWire(d)
-	}
+	sketch.ReadWireInto(r, dst.Sum)
+	sketch.ReadWireInto(r, dst.Count)
 	if err := r.Finish(); err != nil {
 		return AvgSynopsis{}, err
 	}
@@ -585,11 +586,14 @@ func (a *Average) DecodeSynopsisInto(data []byte, dst AvgSynopsis) (AvgSynopsis,
 }
 
 // AppendSynopsis implements Aggregate: the Sum and Count sketches
-// back-to-back, 2K words.
+// back-to-back, each self-delimiting.
 func (a *Average) AppendSynopsis(dst []byte, s AvgSynopsis) []byte {
 	dst = s.Sum.AppendWire(dst)
 	return s.Count.AppendWire(dst)
 }
+
+// MaxSynopsisBytes implements SynopsisSizer.
+func (a *Average) MaxSynopsisBytes() int { return 2 * sketch.WireBytes(a.K) }
 
 // DecodeSynopsis implements Aggregate.
 func (a *Average) DecodeSynopsis(data []byte) (AvgSynopsis, error) {

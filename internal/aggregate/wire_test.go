@@ -105,7 +105,10 @@ func TestCodecsRejectGarbage(t *testing.T) {
 // paper's §5/§7.1 message costs for the running-example aggregates: a
 // Count/Sum tree partial is one 32-bit word (plus the one-word contributing
 // count the envelope carries), and the multi-path synopsis is the K-bitmap
-// FM sketch at one word per bitmap.
+// FM sketch trimmed to the bytes its bitmaps use — for the paper's 600-sensor
+// field two bytes per bitmap plus the width header, about half the raw
+// one-word-per-bitmap vector and within 2x of §7.1's lossy 48-byte packing —
+// and never more than the 1+4K-byte ceiling.
 func TestPaperMessageCosts(t *testing.T) {
 	count := NewCount(9)
 	for _, c := range []int64{1, 57, 600, 100_000} {
@@ -119,8 +122,14 @@ func TestPaperMessageCosts(t *testing.T) {
 		}
 	}
 	syn := count.Convert(0, 1, 600)
-	if w := SynopsisWords[struct{}, int64, *sketch.Sketch, float64](count, syn); w != count.K {
-		t.Fatalf("Count synopsis costs %d words, want k=%d", w, count.K)
+	if n := len(count.AppendSynopsis(nil, syn)); n != 1+2*count.K {
+		t.Fatalf("Count synopsis of 600 costs %d bytes, want 1+2k=%d", n, 1+2*count.K)
+	}
+	if w := SynopsisWords[struct{}, int64, *sketch.Sketch, float64](count, syn); w != count.K/2+1 {
+		t.Fatalf("Count synopsis costs %d words, want k/2+1=%d", w, count.K/2+1)
+	}
+	if n := len(count.AppendSynopsis(nil, count.Convert(0, 1, 1))); n != 1+count.K {
+		t.Fatalf("single-reading Count synopsis costs %d bytes, want 1+k=%d", n, 1+count.K)
 	}
 
 	sum := NewSum(10)
@@ -135,8 +144,72 @@ func TestPaperMessageCosts(t *testing.T) {
 		t.Fatalf("worst-case Sum partial costs %d words, want <= 3", w)
 	}
 	ssyn := sum.Convert(0, 1, 1234)
-	if w := SynopsisWords[float64, float64, *sketch.Sketch, float64](sum, ssyn); w != sum.K {
-		t.Fatalf("Sum synopsis costs %d words, want k=%d", w, sum.K)
+	if n := len(sum.AppendSynopsis(nil, ssyn)); n != 1+2*sum.K || n > sum.MaxSynopsisBytes() {
+		t.Fatalf("Sum synopsis of 1234 costs %d bytes, want 1+2k=%d (ceiling %d)", n, 1+2*sum.K, sum.MaxSynopsisBytes())
+	}
+	// The ceiling is reached only by a sum that sets a bit in a top byte.
+	huge := sum.Convert(0, 1, 1e12)
+	if n := len(sum.AppendSynopsis(nil, huge)); n != sum.MaxSynopsisBytes() || n != 1+4*sum.K {
+		t.Fatalf("huge Sum synopsis costs %d bytes, want the 1+4k=%d ceiling", n, 1+4*sum.K)
+	}
+	avg := NewAverage(11)
+	asyn := avg.Convert(0, 1, AvgPartial{Sum: 1e12, Count: 1 << 40})
+	if n := len(avg.AppendSynopsis(nil, asyn)); n != avg.MaxSynopsisBytes() {
+		t.Fatalf("huge Average synopsis costs %d bytes, want the ceiling %d", n, avg.MaxSynopsisBytes())
+	}
+}
+
+// TestSketchSynopsisRejectsNonCanonical drives every malformed shape of an
+// embedded sketch through the multi-sketch synopsis decoders: the sketches
+// delimit themselves, so a bad width header in the first must not let the
+// decoder resynchronize on the second.
+func TestSketchSynopsisRejectsNonCanonical(t *testing.T) {
+	avg := NewAverage(21)
+	mom := NewMoments(22)
+	avgDec := func(data []byte) error {
+		_, err := avg.DecodeSynopsis(data)
+		if _, errInto := avg.DecodeSynopsisInto(data, avg.NewSynopsis()); (err == nil) != (errInto == nil) {
+			t.Errorf("Average: DecodeSynopsis says %v, DecodeSynopsisInto says %v", err, errInto)
+		}
+		return err
+	}
+	momDec := func(data []byte) error { _, err := mom.DecodeSynopsis(data); return err }
+	for _, tc := range []struct {
+		name   string
+		k      int
+		valid  []byte
+		decode func([]byte) error
+	}{
+		{"Average", avg.K, avg.AppendSynopsis(nil, avg.Convert(0, 1, AvgPartial{Sum: 900, Count: 30})), avgDec},
+		{"Moments", mom.K, mom.AppendSynopsis(nil, mom.Convert(0, 1, MomentsPartial{N: 30, S1: 90, S2: 300, S3: 1000})), momDec},
+	} {
+		if err := tc.decode(tc.valid); err != nil {
+			t.Fatalf("%s: valid synopsis rejected: %v", tc.name, err)
+		}
+		for i := 0; i < len(tc.valid); i++ {
+			if tc.decode(tc.valid[:i]) == nil {
+				t.Errorf("%s: truncation at %d accepted", tc.name, i)
+			}
+		}
+		if tc.decode(append(append([]byte(nil), tc.valid...), 0)) == nil {
+			t.Errorf("%s: trailing byte accepted", tc.name)
+		}
+		// An empty sketch is the one byte 0. Spelled as k explicit zero
+		// fields, or under a 5-byte width header with the bytes to back it,
+		// the first sketch must fail the message even though what follows
+		// it is intact.
+		rest := tc.valid[1+int(tc.valid[0])*tc.k:]
+		if err := tc.decode(append([]byte{0}, rest...)); err != nil {
+			t.Fatalf("%s: empty first sketch rejected: %v", tc.name, err)
+		}
+		for name, first := range map[string][]byte{
+			"non-minimal width": append([]byte{1}, make([]byte, tc.k)...),
+			"width header 5":    append([]byte{5}, make([]byte, 5*tc.k)...),
+		} {
+			if tc.decode(append(first, rest...)) == nil {
+				t.Errorf("%s: first sketch with %s accepted", tc.name, name)
+			}
+		}
 	}
 }
 

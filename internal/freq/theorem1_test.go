@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tributarydelta/internal/wire"
 	"tributarydelta/internal/xrand"
 )
 
@@ -111,9 +112,11 @@ func TestMaxLoadBoundedByClasses(t *testing.T) {
 	// Pruning only fires on class promotions, so between promotions the
 	// synopsis accumulates; require meaningful pruning at the peak (≥ 25%
 	// under this weakly skewed stream) and that the peak respects Theorem
-	// 1's per-link bound O(log²N/ε · 1/εc²) counters. The per-item wire
-	// cost is one id word plus a raw KItem-bitmap sketch (= KItem words).
-	unpruned := len(distinct) * (1 + p.KItem)
+	// 1's per-link bound O(log²N/ε · 1/εc²) counters. An item costs at
+	// least its id byte plus a KItem-bitmap sketch at one byte per bitmap
+	// (the trimmed codec's narrowest non-empty form), so this baseline is a
+	// floor on what the unpruned synopsis would weigh.
+	unpruned := len(distinct) * (2 + p.KItem) / wire.BytesPerWord
 	if float64(maxWords) > 0.75*float64(unpruned) {
 		t.Fatalf("synopsis peaked at %d words — thresholding pruned under 25%% (unpruned baseline %d, %d distinct items)",
 			maxWords, unpruned, len(distinct))

@@ -75,8 +75,8 @@ func DecodeWireSummary(data []byte) (*Summary, error) {
 // AppendWire appends the wire encoding of the multi-path synopsis to dst:
 // the class synopses in class order, each carrying its class, the ñ sketch
 // (KTotal bitmaps) and the per-item ⊕-count sketches (KItem bitmaps) in
-// item order. Bitmap counts come from the deployment-wide Params, not the
-// message.
+// item order. Every sketch delimits itself; bitmap counts come from the
+// deployment-wide Params, not the message.
 func (s *Synopsis) AppendWire(dst []byte, p Params) []byte {
 	classes := make([]int, 0, len(s.ByClass))
 	//lint:ignore determinism key collection; sorted immediately below so the wire encoding is canonical
@@ -116,7 +116,7 @@ func DecodeWireSynopsisInto(data []byte, p Params, out *Synopsis) (*Synopsis, er
 	}
 	r := wire.NewReader(data)
 	out.Reset()
-	nClasses := r.Count(1 + sketch.WireBytes(p.KTotal) + 1)
+	nClasses := r.Count(3) // class + ñ sketch + item count, >= 1 byte each
 	prevClass := -1
 	for i := 0; i < nClasses; i++ {
 		c := int(r.Uvarint())
@@ -129,10 +129,8 @@ func DecodeWireSynopsisInto(data []byte, p Params, out *Synopsis) (*Synopsis, er
 		// a malformed frame never strands it (or its item sketches) outside
 		// both the synopsis and the freelists — the next Reset reclaims it.
 		out.ByClass[c] = cs
-		if d := r.Take(sketch.WireBytes(p.KTotal)); d != nil {
-			_ = cs.NTotal.LoadWire(d) // length is exact by construction
-		}
-		nItems := r.Count(1 + sketch.WireBytes(p.KItem))
+		sketch.ReadWireInto(r, cs.NTotal)
+		nItems := r.Count(2) // item delta + sketch, >= 1 byte each
 		prev := Item(0)
 		for j := 0; j < nItems; j++ {
 			u := prev + Item(r.Uvarint())
@@ -141,9 +139,7 @@ func DecodeWireSynopsisInto(data []byte, p Params, out *Synopsis) (*Synopsis, er
 			}
 			sk := out.getItemSketch(p)
 			cs.ItemSketches[u] = sk
-			if d := r.Take(sketch.WireBytes(p.KItem)); d != nil {
-				_ = sk.LoadWire(d)
-			}
+			sketch.ReadWireInto(r, sk)
 			prev = u
 		}
 	}

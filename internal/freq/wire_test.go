@@ -1,6 +1,7 @@
 package freq
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -142,6 +143,74 @@ func TestSynopsisWireRejectsTruncation(t *testing.T) {
 	}
 	if _, err := DecodeWireSynopsis(append(enc, 0), p); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestSynopsisWireMinimalFrames pins the element-count guards against the
+// trimmed sketch sizes: a class is as small as three bytes (class, an empty
+// ñ sketch, no items) and an item as small as two, so frames this short are
+// valid — the guards once demanded a full 4-bytes-per-bitmap sketch per
+// element and would have refused them.
+func TestSynopsisWireMinimalFrames(t *testing.T) {
+	p := DefaultParams(9, 0.01, 10)
+	one := NewSynopsis()
+	cs := one.getClass(2, p)
+	one.ByClass[2] = cs
+	cs.ItemSketches[7] = one.getItemSketch(p)
+	enc := one.AppendWire(nil, p)
+	if want := []byte{1, 2, 0, 1, 7, 0}; !bytes.Equal(enc, want) {
+		t.Fatalf("one empty class with one empty item encodes to %v, want %v", enc, want)
+	}
+	for _, valid := range [][]byte{enc, {1, 2, 0, 0}, {2, 0, 0, 0, 5, 0, 0}} {
+		got, err := DecodeWireSynopsis(valid, p)
+		if err != nil {
+			t.Fatalf("minimal synopsis %v rejected: %v", valid, err)
+		}
+		if !bytes.Equal(got.AppendWire(nil, p), valid) {
+			t.Fatalf("minimal synopsis %v changed across a round trip", valid)
+		}
+	}
+	// A small real synopsis sits far below the old per-class floor too.
+	small := Generate([]Item{1, 1, 1, 2}, 3, 4, p).AppendWire(nil, p)
+	if floor := 1 + 4*p.KTotal + 1; len(small) >= floor {
+		t.Fatalf("small synopsis is %d bytes, expected under the old %d-byte class floor", len(small), floor)
+	}
+	if _, err := DecodeWireSynopsis(small, p); err != nil {
+		t.Fatalf("small synopsis rejected: %v", err)
+	}
+}
+
+// TestSynopsisWireRejectsNonCanonicalSketches drives malformed ñ and item
+// sketches through the synopsis decoder, recycled and fresh.
+func TestSynopsisWireRejectsNonCanonicalSketches(t *testing.T) {
+	p := DefaultParams(9, 0.01, 10)
+	recycled := buildSynopsis(10, p)
+	decode := func(data []byte) error {
+		_, err := DecodeWireSynopsis(data, p)
+		if _, errInto := DecodeWireSynopsisInto(data, p, recycled); (err == nil) != (errInto == nil) {
+			t.Errorf("DecodeWireSynopsis says %v, DecodeWireSynopsisInto says %v", err, errInto)
+		}
+		return err
+	}
+	zeros := func(w, k int) []byte { return append([]byte{byte(w)}, make([]byte, w*k)...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// One class (2) with one item (7); either sketch canonical-empty is fine.
+	if err := decode([]byte{1, 2, 0, 1, 7, 0}); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"non-minimal ñ sketch":    cat([]byte{1, 2}, zeros(1, p.KTotal), []byte{1, 7, 0}),
+		"over-wide ñ sketch":      cat([]byte{1, 2}, zeros(5, p.KTotal), []byte{1, 7, 0}),
+		"non-minimal item sketch": cat([]byte{1, 2, 0, 1, 7}, zeros(1, p.KItem)),
+		"over-wide item sketch":   cat([]byte{1, 2, 0, 1, 7}, zeros(5, p.KItem)),
+		"truncated item sketch":   {1, 2, 0, 1, 7, 2, 0xff},
+		"trailing byte":           {1, 2, 0, 1, 7, 0, 0},
+		"class count past input":  {2, 2, 0, 0},
+		"item count past input":   {1, 2, 0, 2, 7, 0},
+	} {
+		if decode(bad) == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -200,9 +200,7 @@ func (a *Agg) DecodeSynopsisInto(data []byte, dst *Synopsis) (*Synopsis, error) 
 	if err := sample.ReadWireInto(r, dst.Smp); err != nil {
 		return nil, err
 	}
-	if d := r.Take(sketch.WireBytes(a.CountK)); d != nil {
-		_ = dst.Cnt.LoadWire(d) // length is exact by construction
-	}
+	sketch.ReadWireInto(r, dst.Cnt)
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

@@ -67,6 +67,44 @@ func TestAggSynopsisCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// The population sketch is the synopsis's last field and delimits itself:
+// every malformed shape of it must fail both synopsis decoders.
+func TestAggSynopsisRejectsNonCanonicalCount(t *testing.T) {
+	a, _ := buildAgg(t, 4, 8, nil)
+	s := a.Convert(0, 3, a.Local(0, 3, 5))
+	enc := a.AppendSynopsis(nil, s)
+	decode := func(data []byte) error {
+		_, err := a.DecodeSynopsis(data)
+		if _, errInto := a.DecodeSynopsisInto(data, a.NewSynopsis()); (err == nil) != (errInto == nil) {
+			t.Errorf("DecodeSynopsis says %v, DecodeSynopsisInto says %v", err, errInto)
+		}
+		return err
+	}
+	if err := decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(enc); i++ {
+		if decode(enc[:i]) == nil {
+			t.Errorf("truncation at %d accepted", i)
+		}
+	}
+	if decode(append(append([]byte(nil), enc...), 0)) == nil {
+		t.Error("trailing byte accepted")
+	}
+	smp := s.Smp.AppendWire(nil)
+	if err := decode(append(smp, 0)); err != nil {
+		t.Fatalf("empty population sketch rejected: %v", err)
+	}
+	for name, cnt := range map[string][]byte{
+		"non-minimal width": append([]byte{1}, make([]byte, a.CountK)...),
+		"width header 5":    append([]byte{5}, make([]byte, 5*a.CountK)...),
+	} {
+		if decode(append(smp[:len(smp):len(smp)], cnt...)) == nil {
+			t.Errorf("population sketch with %s accepted", name)
+		}
+	}
+}
+
 // Fusing a replica of the same converted synopsis must not change the
 // answer — the duplicate-insensitivity multi-path routing relies on.
 func TestAggFuseIdempotent(t *testing.T) {

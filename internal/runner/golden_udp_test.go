@@ -7,6 +7,25 @@ import (
 	"tributarydelta/internal/transport"
 )
 
+// newDetUDP opens a deterministic 4-shard in-process UDP fleet over nw,
+// closed — and checked for a sticky transport error — at test cleanup.
+func newDetUDP(t *testing.T, nw *network.Net, noBatch bool) *transport.UDP {
+	t.Helper()
+	u, err := transport.NewUDP(nw, transport.UDPOptions{
+		Deterministic: true, Shards: 4, NoBatching: noBatch,
+	})
+	if err != nil {
+		t.Fatalf("NewUDP: %v", err)
+	}
+	t.Cleanup(func() {
+		u.Close()
+		if err := u.Err(); err != nil {
+			t.Errorf("udp transport error after run: %v", err)
+		}
+	})
+	return u
+}
+
 // TestGoldenAnswersUDPTransport re-runs the golden workloads (4 schemes ×
 // seeds 1–3) with the multi-process UDP transport in deterministic mode —
 // real loopback datagrams, an in-process shard fleet, the barrier protocol
@@ -24,19 +43,7 @@ func TestGoldenAnswersUDPTransport(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				got := goldenRuns(t, func(nw *network.Net) Transport {
-					u, err := transport.NewUDP(nw, transport.UDPOptions{
-						Deterministic: true, Shards: 4, NoBatching: noBatch,
-					})
-					if err != nil {
-						t.Fatalf("NewUDP: %v", err)
-					}
-					t.Cleanup(func() {
-						u.Close()
-						if err := u.Err(); err != nil {
-							t.Errorf("udp transport error after run: %v", err)
-						}
-					})
-					return u
+					return newDetUDP(t, nw, noBatch)
 				}, workers)
 				compareGolden(t, got)
 			}

@@ -245,6 +245,12 @@ type Runner[V, P, S, R any] struct {
 	// rec is the aggregate's optional synopsis-recycling fast path,
 	// resolved once; nil falls back to the allocating Convert/Decode.
 	rec aggregate.SynopsisRecycler[P, S]
+	// maxSynBytes and maxSynFrame are the aggregate's optional bound on an
+	// encoded synopsis and the framed envelope around it (0 when the
+	// aggregate gives none): the sizes worker encode scratch and synopsis
+	// frame slots are allocated at, so byte-trimmed sketches that come out
+	// wider than in any earlier epoch do not regrow a buffer.
+	maxSynBytes, maxSynFrame int
 	// memo is the aggregate's optional cross-epoch memoization extension
 	// (resolved once); memoState carries the per-node caches and memoOn
 	// whether the current epoch runs with memoization engaged. See memo.go.
@@ -626,6 +632,11 @@ func New[V, P, S, R any](cfg Config[V, P, S, R]) (*Runner[V, P, S, R], error) {
 	}
 	r.marker, _ = r.transport.(EpochMarker)
 	r.rec, _ = cfg.Agg.(aggregate.SynopsisRecycler[P, S])
+	if sz, ok := cfg.Agg.(aggregate.SynopsisSizer); ok {
+		r.maxSynBytes = sz.MaxSynopsisBytes()
+		r.maxSynFrame = wire.MaxSynopsisEnvelopeBytes(
+			sketch.WireBytes(r.cfg.ContribK), r.topKCap()+1, r.maxSynBytes)
+	}
 	// The memoization extension only pays on the multi-path side; a pure
 	// tree run has no synopses to cache, so it skips the bookkeeping too.
 	if cfg.Mode != ModeTree {
@@ -803,8 +814,10 @@ func (r *Runner[V, P, S, R]) SetWorkers(n int) {
 	r.workers = n
 	for len(r.ws) < n {
 		r.ws = append(r.ws, &workerState[P, S]{
-			skPool: contribSketchPool{k: r.cfg.ContribK},
-			topNC:  make([]int, 0, r.topKCap()+1),
+			skPool:     contribSketchPool{k: r.cfg.ContribK},
+			topNC:      make([]int, 0, r.topKCap()+1),
+			payloadBuf: make([]byte, 0, r.maxSynBytes),
+			contribBuf: make([]byte, 0, sketch.WireBytes(r.cfg.ContribK)),
 		})
 	}
 	// Retire the current helper generation when it no longer fits: its
@@ -1441,6 +1454,9 @@ func (r *Runner[V, P, S, R]) encodeFrame(ws *workerState[P, S], epoch int, env *
 		ws.payloadBuf = r.cfg.Agg.AppendPartial(ws.payloadBuf[:0], env.p)
 	} else {
 		we.Kind = wire.KindSynopsis
+		if cap(slot.buf) < r.maxSynFrame {
+			slot.buf = make([]byte, 0, r.maxSynFrame)
+		}
 		ws.contribBuf = env.contribSk.AppendWire(ws.contribBuf[:0])
 		we.ContribSketch = ws.contribBuf
 		we.TopNC = env.topNC

@@ -37,24 +37,63 @@ func TestByteAccountingTree(t *testing.T) {
 }
 
 // TestByteAccountingMultipath pins the delta side: a broadcast frame
-// carries the K-word synopsis sketch plus the ContribK-word
-// contributing-Count sketch plus a few words of NC statistics and framing.
+// carries the synopsis sketch and the contributing-Count sketch, each
+// byte-trimmed (a width header plus 1 or 2 bytes per bitmap in a 300-node
+// field: a bit at position 16 would take a count near 2^16·K), plus a few
+// bytes of NC statistics and framing. A leaf's frame is the small end, the
+// base station's neighbours' the large one; the raw encoding's 8K bytes is
+// never approached.
 func TestByteAccountingMultipath(t *testing.T) {
 	f := newFixture(32, 300)
 	r := countRunner(t, f, ModeMultipath, network.Global{P: 0}, 32)
 	r.RunEpoch(0)
 	const k = 40 // aggregate.DefaultSketchK and the default ContribK
-	minWords := int64(k + k)
-	maxWords := int64(k + k + 10)
+	const framing = 24
+	minBytes := int64(2 * (1 + k))
+	maxBytes := int64(2*(1+2*k) + framing)
+	var lo, hi int64 = 1 << 62, 0
 	for v := 1; v < f.g.N(); v++ {
 		tx := r.Stats.Transmissions[v]
 		if tx == 0 {
 			continue
 		}
-		w := r.Stats.Words[v] / tx
-		if w < minWords || w > maxWords {
-			t.Fatalf("node %d: %d words per synopsis frame, want %d..%d", v, w, minWords, maxWords)
+		b := r.Stats.Bytes[v] / tx
+		if b < minBytes || b > maxBytes {
+			t.Fatalf("node %d: %d bytes per synopsis frame, want %d..%d", v, b, minBytes, maxBytes)
 		}
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	// Both ends occur: one-byte fields at the leaves, a sketch grown to
+	// two-byte fields where hundreds of readings have been fused.
+	if lo > minBytes+framing || hi < (1+k)+(1+2*k) {
+		t.Fatalf("synopsis frames span %d..%d bytes, want both widths (<= %d and >= %d)",
+			lo, hi, minBytes+framing, (1+k)+(1+2*k))
+	}
+}
+
+// TestTotalBytesSimVsUDP holds the transports to one size accounting: 50 TD
+// epochs over the simulator and over the deterministic UDP fleet must charge
+// the same bytes and words to the last unit, so a codec change can never
+// move one backend's cost axis without the other's.
+func TestTotalBytesSimVsUDP(t *testing.T) {
+	f := newFixture(36, 300)
+	sim := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 36)
+	udp := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 36,
+		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
+			c.Transport = newDetUDP(t, c.Net, false)
+		})
+	rs, ru := sim.Run(50), udp.Run(50)
+	for i := range rs {
+		if rs[i].Answer != ru[i].Answer {
+			t.Fatalf("epoch %d: answers diverge (%v vs %v)", i, rs[i].Answer, ru[i].Answer)
+		}
+	}
+	if sim.Stats.TotalBytes() != udp.Stats.TotalBytes() || sim.Stats.TotalWords() != udp.Stats.TotalWords() {
+		t.Fatalf("sim charged %d bytes / %d words, udp %d / %d",
+			sim.Stats.TotalBytes(), sim.Stats.TotalWords(), udp.Stats.TotalBytes(), udp.Stats.TotalWords())
+	}
+	if sim.Stats.TotalBytes() == 0 {
+		t.Fatal("no bytes accounted")
 	}
 }
 

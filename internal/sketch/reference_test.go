@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"tributarydelta/internal/xrand"
@@ -98,6 +99,25 @@ func decodeCompactReference(data []byte, k int) (*Sketch, error) {
 		}
 	}
 	return s, nil
+}
+
+// appendWireRawReference and decodeWireRawReference are the pre-trimming wire
+// codec — every bitmap a fixed little-endian 32-bit word, 4K bytes — kept as
+// the reference the byte-trimmed AppendWire/LoadWire are differentially
+// tested against: both must reconstruct the identical sketch.
+func appendWireRawReference(dst []byte, s *Sketch) []byte {
+	for m := 0; m < s.K(); m++ {
+		dst = binary.LittleEndian.AppendUint32(dst, s.bitmap(m))
+	}
+	return dst
+}
+
+func decodeWireRawReference(data []byte, k int) *Sketch {
+	s := New(k)
+	for m := 0; m < k; m++ {
+		s.words[m>>1] |= uint64(binary.LittleEndian.Uint32(data[4*m:])) << (uint(m&1) * BitmapBits)
+	}
+	return s
 }
 
 type refError string

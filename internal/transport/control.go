@@ -116,7 +116,7 @@ func appendBinFlush(dst []byte, m *ctrlMsg) []byte {
 	return wire.AppendUvarint(dst, uint64(m.Sent))
 }
 
-// decodeBinFlush parses a binary flush body into m (already zeroed).
+// decodeBinFlush parses a binary flush body into m (already reset).
 func decodeBinFlush(body []byte, m *ctrlMsg) error {
 	r := wire.NewReader(body)
 	r.Byte() // magic, dispatched on by the caller
@@ -155,7 +155,8 @@ func appendBinDone(dst []byte, m *ctrlMsg) []byte {
 	return dst
 }
 
-// decodeBinDone parses a binary done body into m (already zeroed). Counts
+// decodeBinDone parses a binary done body into m (already reset: scalar
+// fields zero, lists empty but possibly holding reusable capacity). Counts
 // are validated against the bytes actually present and ranges against the
 // bounded sequence space, so a corrupt peer cannot force a huge allocation.
 func decodeBinDone(body []byte, m *ctrlMsg) error {
@@ -191,29 +192,45 @@ func decodeBinDone(body []byte, m *ctrlMsg) error {
 	return r.Finish()
 }
 
-// writeCtrl sends one framed control message, honoring the deadline (zero
+// ctrlBufs is one endpoint's reusable control-plane frame scratch: the
+// per-round barrier exchange encodes into w and reads into r, so a steady
+// run allocates nothing here. The zero value is ready; one goroutine at a
+// time may use it.
+type ctrlBufs struct{ w, r []byte }
+
+// writeCtrl is ctrlBufs.write with throwaway scratch — for the handshake
+// and shutdown messages, which are sent once.
+func writeCtrl(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
+	return new(ctrlBufs).write(conn, deadline, m)
+}
+
+// readCtrl is ctrlBufs.read with throwaway scratch.
+func readCtrl(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
+	return new(ctrlBufs).read(conn, deadline, m)
+}
+
+// write sends one framed control message, honoring the deadline (zero
 // means none). Barrier messages take the binary encoding; everything else
 // is JSON.
-func writeCtrl(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
-	var body []byte
+func (b *ctrlBufs) write(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
+	buf := append(b.w[:0], 0, 0, 0, 0) // length prefix, patched below
 	switch m.Type {
 	case ctrlFlush:
-		body = appendBinFlush(make([]byte, 0, 2*wire.MaxUvarintLen+1), m)
+		buf = appendBinFlush(buf, m)
 	case ctrlDone:
-		body = appendBinDone(nil, m)
+		buf = appendBinDone(buf, m)
 	default:
-		var err error
-		body, err = json.Marshal(m)
+		body, err := json.Marshal(m)
 		if err != nil {
 			return err
 		}
+		buf = append(buf, body...)
 	}
-	if len(body) > maxCtrlFrame {
-		return fmt.Errorf("transport: control frame of %d bytes exceeds cap", len(body))
+	b.w = buf
+	if len(buf)-4 > maxCtrlFrame {
+		return fmt.Errorf("transport: control frame of %d bytes exceeds cap", len(buf)-4)
 	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	if err := conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
@@ -221,26 +238,34 @@ func writeCtrl(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
 	return err
 }
 
-// readCtrl receives one framed control message into m, honoring the
-// deadline (zero means none). The advertised length is validated before any
-// allocation; the body's first byte selects the binary or JSON decoder.
-func readCtrl(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
+// read receives one framed control message into m, honoring the deadline
+// (zero means none). The advertised length is validated before any
+// allocation; the body's first byte selects the binary or JSON decoder. m
+// is overwritten, its Missing and Rx lists refilled in place, so a caller
+// that reads every reply into one message reuses their storage.
+func (b *ctrlBufs) read(conn net.Conn, deadline time.Time, m *ctrlMsg) error {
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if cap(b.r) < 4 {
+		b.r = make([]byte, 4, 256)
+	}
+	hdr := b.r[:4]
+	if _, err := io.ReadFull(conn, hdr); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxCtrlFrame {
 		return fmt.Errorf("transport: control frame of %d bytes exceeds cap", n)
 	}
-	body := make([]byte, n)
+	if uint32(cap(b.r)) < n {
+		b.r = make([]byte, n)
+	}
+	body := b.r[:n]
 	if _, err := io.ReadFull(conn, body); err != nil {
 		return err
 	}
-	*m = ctrlMsg{}
+	*m = ctrlMsg{Missing: m.Missing[:0], Rx: m.Rx[:0]}
 	if len(body) == 0 {
 		return wire.ErrMalformed
 	}

@@ -70,15 +70,24 @@ type shardState struct {
 	round   uint64
 	// seen is the round's dedup bitset over sequence numbers; capacity is
 	// bounded by wire.MaxDatagramSeq regardless of input.
-	seen        []uint64
-	unique      int
-	received    int64
+	seen     []uint64
+	unique   int
+	received int64
+	// lastArrival is the free-running quiet-period clock, stamped once per
+	// datagram that carried an accepted frame; deterministic mode
+	// synchronizes on sequence receipt and never stamps or reads it.
 	lastArrival time.Time
 	// rxFrames/rxBytes/dups are per-local-node deltas for the round,
 	// indexed by v/shards.
 	rxFrames, rxBytes, dups []int64
 	malformed               int64
 	stale                   int64
+
+	// reply and timer are the control loop's reusable barrier scratch: the
+	// done message (its Missing/Rx lists refilled in place each flush) and
+	// the arrival-wait timer. Only the control goroutine touches them.
+	reply ctrlMsg
+	timer *time.Timer
 }
 
 // localCount returns how many nodes of [0, nodes) live on this shard.
@@ -125,9 +134,10 @@ func serveShard(conn net.Conn, shard int) error {
 		s.receive()
 	}()
 
+	var bufs ctrlBufs
+	var m ctrlMsg
 	for {
-		var m ctrlMsg
-		if err := readCtrl(conn, time.Time{}, &m); err != nil {
+		if err := bufs.read(conn, time.Time{}, &m); err != nil {
 			udp.Close()
 			<-recvDone
 			return fmt.Errorf("transport: shard %d control channel: %w", shard, err)
@@ -136,7 +146,7 @@ func serveShard(conn net.Conn, shard int) error {
 		case ctrlFlush:
 			reply := s.flush(&m)
 			//lint:ignore determinism control-plane I/O deadline; barrier reply timing never reaches the epoch path
-			if err := writeCtrl(conn, time.Now().Add(ctrlIOTimeout), reply); err != nil {
+			if err := bufs.write(conn, time.Now().Add(ctrlIOTimeout), reply); err != nil {
 				udp.Close()
 				<-recvDone
 				return fmt.Errorf("transport: shard %d flush reply: %w", shard, err)
@@ -207,6 +217,7 @@ func (s *shardState) handleDatagram(dec *wire.Decoder, data []byte) {
 		return
 	}
 	s.acceptLocked(d.Seq, d.To, len(d.Frame))
+	s.stampArrivalLocked()
 	s.mu.Unlock()
 	s.wake()
 }
@@ -241,6 +252,9 @@ func (s *shardState) handleBatch(dec *wire.Decoder, data []byte) {
 	}
 	if b.Err() != nil {
 		s.malformed++
+	}
+	if accepted > 0 {
+		s.stampArrivalLocked()
 	}
 	s.mu.Unlock()
 	if accepted > 0 {
@@ -285,8 +299,6 @@ func (s *shardState) enterRoundLocked(round uint64) bool {
 //td:hotpath
 func (s *shardState) acceptLocked(seq, to, frameLen int) {
 	s.received++
-	//lint:ignore determinism free-running arrival clock for the quiet-period drain; deterministic mode synchronizes on seq receipt, not time
-	s.lastArrival = time.Now()
 	w, bit := seq>>6, uint64(1)<<(uint(seq)&63)
 	for w >= len(s.seen) {
 		s.seen = append(s.seen, 0)
@@ -299,6 +311,16 @@ func (s *shardState) acceptLocked(seq, to, frameLen int) {
 		s.unique++
 		s.rxFrames[li]++
 		s.rxBytes[li] += int64(frameLen)
+	}
+}
+
+// stampArrivalLocked advances the quiet-period clock — once per datagram,
+// not per frame: the drain measures silence on the socket, and a batch's
+// frames all arrived together. Callers hold mu.
+func (s *shardState) stampArrivalLocked() {
+	if !s.det {
+		//lint:ignore determinism free-running arrival clock for the quiet-period drain; deterministic mode synchronizes on seq receipt, not time
+		s.lastArrival = time.Now()
 	}
 }
 
@@ -340,7 +362,8 @@ func (s *shardState) resetRoundLocked(round uint64) {
 // barrier converges to exactly-once. In free-running mode the wait is a
 // quiet period since the last arrival (so trailing duplicates and
 // reordered stragglers are counted), and whatever is missing then is
-// reported as genuinely lost.
+// reported as genuinely lost. The returned message is the shard's reusable
+// reply scratch, valid until the next flush.
 func (s *shardState) flush(m *ctrlMsg) *ctrlMsg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,10 +408,12 @@ func (s *shardState) flush(m *ctrlMsg) *ctrlMsg {
 		}
 	}
 	io := s.io.Snapshot()
-	reply := &ctrlMsg{
+	reply := &s.reply
+	*reply = ctrlMsg{
 		Type: ctrlDone, Round: m.Round,
 		Received: s.received, Malformed: s.malformed,
 		RecvCalls: io.RecvCalls, RecvDatagrams: io.RecvDatagrams,
+		Missing: reply.Missing[:0], Rx: reply.Rx[:0],
 	}
 	if s.unique < m.Sent {
 		// Collapse the missing sequence numbers into maximal runs: a lost
@@ -440,12 +465,18 @@ func (s *shardState) waitArrivalLocked(deadline time.Time) bool {
 	}
 	s.mu.Unlock()
 	defer s.mu.Lock()
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	if s.timer == nil {
+		s.timer = time.NewTimer(wait)
+	} else {
+		s.timer.Reset(wait)
+	}
 	select {
 	case <-s.arrival:
+		// Stop leaves nothing in the channel for the next Reset to trip
+		// over (Go 1.23 timer semantics).
+		s.timer.Stop()
 		return true
-	case <-timer.C:
+	case <-s.timer.C:
 		return false
 	}
 }

@@ -289,6 +289,15 @@ type udpShard struct {
 	// recvCalls/recvDatagrams mirror the shard's cumulative socket-level
 	// receive counters from its last barrier reply (for IOStats).
 	recvCalls, recvDatagrams int64
+	// bufs, flushMsg, done and flushErr are the barrier's per-shard scratch:
+	// the control frame buffers, the flush message, the reply it is decoded
+	// into (lists refilled in place round over round) and the flush's
+	// outcome, handed from the flushing goroutine to EndEpoch across the
+	// WaitGroup.
+	bufs     ctrlBufs
+	flushMsg ctrlMsg
+	done     ctrlMsg
+	flushErr error
 }
 
 // UDP is the multi-process UDP transport. Construct with NewUDP; it
@@ -316,6 +325,8 @@ type UDP struct {
 	stopc    chan struct{}
 	acceptWG sync.WaitGroup
 	superWG  sync.WaitGroup
+	// flushWG joins the per-shard barrier goroutines of one EndEpoch.
+	flushWG sync.WaitGroup
 	// rejoinWaiters routes accepted mid-run joins to the supervisor
 	// awaiting that shard index.
 	rejoinMu      sync.Mutex
@@ -662,25 +673,16 @@ func (u *UDP) EndEpoch(int) {
 		}
 		u.pending = u.pending[:0]
 	}
-	var wg sync.WaitGroup
-	type flushResult struct {
-		done ctrlMsg
-		err  error
-	}
-	results := make([]flushResult, len(u.shards))
-	for i, sh := range u.shards {
+	for _, sh := range u.shards {
 		if sh.dead || sh.sent == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sh *udpShard) {
-			defer wg.Done()
-			results[i].done, results[i].err = u.flushShard(sh)
-		}(i, sh)
+		u.flushWG.Add(1)
+		go u.flushAsync(sh)
 	}
-	wg.Wait()
+	u.flushWG.Wait()
 	st := u.opts.Stats
-	for i, sh := range u.shards {
+	for _, sh := range u.shards {
 		if sh.dead {
 			// A shard that stayed dead through the round missed its epoch;
 			// Deliver already counted its frames as losses.
@@ -690,8 +692,7 @@ func (u *UDP) EndEpoch(int) {
 		if sh.sent == 0 {
 			continue
 		}
-		res := results[i]
-		if res.err != nil {
+		if sh.flushErr != nil {
 			// The shard is gone mid-round: how much of the round it
 			// processed is unknowable, so attribute the whole round as
 			// lost — the conservative reading of a crashed receiver — and
@@ -702,13 +703,13 @@ func (u *UDP) EndEpoch(int) {
 					st.AddLoss(int(from))
 				}
 			}
-			u.declareDead(sh, res.err)
+			u.declareDead(sh, sh.flushErr)
 			u.noteDegraded(sh.id)
 			continue
 		}
-		sh.recvCalls = res.done.RecvCalls
-		sh.recvDatagrams = res.done.RecvDatagrams
-		for _, d := range res.done.Rx {
+		sh.recvCalls = sh.done.RecvCalls
+		sh.recvDatagrams = sh.done.RecvDatagrams
+		for _, d := range sh.done.Rx {
 			if d.Node < 0 || d.Node >= u.nw.Graph.N() {
 				continue
 			}
@@ -720,7 +721,7 @@ func (u *UDP) EndEpoch(int) {
 			}
 			u.dupes.Add(d.Dups)
 		}
-		for _, rng := range res.done.Missing {
+		for _, rng := range sh.done.Missing {
 			first, count := rng.First, rng.Count
 			if first < 0 || count <= 0 || first >= sh.sent {
 				continue
@@ -958,29 +959,36 @@ func (u *UDP) attemptTimeout() time.Duration {
 	return at
 }
 
-// readDone reads one barrier reply, skipping stale done messages a
-// timed-out earlier attempt left queued on the stream. A read timeout with
-// budget remaining asks the caller to re-send the flush (second return
-// true); any other failure is fatal.
-func (u *UDP) readDone(sh *udpShard, deadline time.Time, attemptIO time.Duration) (ctrlMsg, bool, error) {
+// flushAsync is one EndEpoch's barrier goroutine for sh: the outcome lands
+// in sh.flushErr (and sh.done), read after flushWG.Wait.
+func (u *UDP) flushAsync(sh *udpShard) {
+	defer u.flushWG.Done()
+	sh.flushErr = u.flushShard(sh)
+}
+
+// readDone reads one barrier reply into sh.done, skipping stale done
+// messages a timed-out earlier attempt left queued on the stream. A read
+// timeout with budget remaining asks the caller to re-send the flush (first
+// return true); any other failure is fatal.
+func (u *UDP) readDone(sh *udpShard, deadline time.Time, attemptIO time.Duration) (bool, error) {
+	done := &sh.done
 	for {
-		var done ctrlMsg
-		if err := readCtrl(sh.ctrl, ctrlAttemptDeadline(deadline, attemptIO), &done); err != nil {
+		if err := sh.bufs.read(sh.ctrl, ctrlAttemptDeadline(deadline, attemptIO), done); err != nil {
 			if isTimeout(err) && budgetLeft(deadline) {
-				return ctrlMsg{}, true, nil
+				return true, nil
 			}
-			return ctrlMsg{}, false, fmt.Errorf("barrier reply: %w", err)
+			return false, fmt.Errorf("barrier reply: %w", err)
 		}
 		if done.Type != ctrlDone {
-			return ctrlMsg{}, false, fmt.Errorf("unexpected barrier reply %q (round %d)", done.Type, u.round)
+			return false, fmt.Errorf("unexpected barrier reply %q (round %d)", done.Type, u.round)
 		}
 		if done.Round < u.round {
 			continue // stale reply from a superseded barrier attempt
 		}
 		if done.Round > u.round {
-			return ctrlMsg{}, false, fmt.Errorf("barrier reply for future round %d (want %d)", done.Round, u.round)
+			return false, fmt.Errorf("barrier reply for future round %d (want %d)", done.Round, u.round)
 		}
-		return done, false, nil
+		return false, nil
 	}
 }
 
@@ -997,43 +1005,47 @@ func (u *UDP) readDone(sh *udpShard, deadline time.Time, attemptIO time.Duration
 // replies), while a failed write or a non-timeout read error is fatal
 // immediately — a reset connection means the peer is gone, and a timed-out
 // write may have left a partial frame on the stream.
-func (u *UDP) flushShard(sh *udpShard) (ctrlMsg, error) {
+//
+// On success the terminal reply is in sh.done.
+func (u *UDP) flushShard(sh *udpShard) error {
 	//lint:ignore determinism barrier liveness deadline; deterministic mode retransmits to exactly-once receipt, so timing bounds waiting, never answer bits
 	deadline := time.Now().Add(u.opts.BarrierTimeout)
 	attemptIO := u.attemptTimeout()
 	var resend []batchio.Message
 	resends := 0
 	for {
-		if err := writeCtrl(sh.ctrl, ctrlAttemptDeadline(deadline, attemptIO), &ctrlMsg{Type: ctrlFlush, Round: u.round, Sent: sh.sent}); err != nil {
-			return ctrlMsg{}, fmt.Errorf("barrier flush: %w", err)
+		sh.flushMsg = ctrlMsg{Type: ctrlFlush, Round: u.round, Sent: sh.sent}
+		if err := sh.bufs.write(sh.ctrl, ctrlAttemptDeadline(deadline, attemptIO), &sh.flushMsg); err != nil {
+			return fmt.Errorf("barrier flush: %w", err)
 		}
-		done, retry, err := u.readDone(sh, deadline, attemptIO)
+		retry, err := u.readDone(sh, deadline, attemptIO)
 		if err != nil {
-			return ctrlMsg{}, err
+			return err
 		}
 		if retry {
 			continue
 		}
+		done := &sh.done
 		if !u.opts.Deterministic || len(done.Missing) == 0 {
-			return done, nil
+			return nil
 		}
 		if resends >= maxDetResends || !budgetLeft(deadline) {
 			missing := 0
 			for _, rng := range done.Missing {
 				missing += rng.Count
 			}
-			return ctrlMsg{}, fmt.Errorf("%d frames still missing after %d resends", missing, resends)
+			return fmt.Errorf("%d frames still missing after %d resends", missing, resends)
 		}
 		resends++
 		resend = resend[:0]
 		last := -1
 		for _, rng := range done.Missing {
 			if rng.First < 0 || rng.Count <= 0 || rng.First+rng.Count > sh.sent {
-				return ctrlMsg{}, fmt.Errorf("shard reported unknown seq range [%d,%d)", rng.First, rng.First+rng.Count)
+				return fmt.Errorf("shard reported unknown seq range [%d,%d)", rng.First, rng.First+rng.Count)
 			}
 			di := sort.SearchInts(sh.dgramBase, rng.First+1) - 1
 			if di < 0 {
-				return ctrlMsg{}, fmt.Errorf("no datagram covers seq %d", rng.First)
+				return fmt.Errorf("no datagram covers seq %d", rng.First)
 			}
 			for ; di < len(sh.dgrams) && sh.dgramBase[di] < rng.First+rng.Count; di++ {
 				if di <= last {
@@ -1044,7 +1056,7 @@ func (u *UDP) flushShard(sh *udpShard) (ctrlMsg, error) {
 			}
 		}
 		if err := u.io.Send(resend); err != nil {
-			return ctrlMsg{}, fmt.Errorf("retransmit: %w", err)
+			return fmt.Errorf("retransmit: %w", err)
 		}
 	}
 }

@@ -79,6 +79,19 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 	return AppendBytes(dst, e.Payload)
 }
 
+// MaxSynopsisEnvelopeBytes bounds the framed size of a KindSynopsis envelope
+// whose contributing sketch, TopNC list and payload are at most the given
+// sizes — what a sender pre-sizes its frame buffers to, so frames whose
+// fields vary epoch to epoch never regrow them.
+func MaxSynopsisEnvelopeBytes(contribBytes, topNC, payloadBytes int) int {
+	const uvarint32 = 5 // Epoch and From are 32-bit
+
+	return 2 + 2*uvarint32 + // version, kind, epoch, from
+		UvarintLen(uint64(contribBytes)) + contribBytes +
+		1 + (1+topNC+1)*MaxUvarintLen + // NCValid; count, TopNC values, MinNC
+		UvarintLen(uint64(payloadBytes)) + payloadBytes
+}
+
 // DecodeEnvelope parses a frame produced by AppendEnvelope. The returned
 // envelope's byte fields alias data. Trailing bytes, unknown versions and
 // unknown kinds are errors. Each call allocates the TopNC slice afresh; hot

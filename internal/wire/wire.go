@@ -92,7 +92,7 @@ func PutUvarint(b []byte, v uint64) {
 }
 
 // AppendUint32 appends v as four little-endian bytes — the fixed-width
-// encoding used for FM sketch bitmaps, where every bit is payload.
+// encoding for values with no redundancy to compress (hashes, ranks).
 func AppendUint32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -151,6 +151,11 @@ func (r *Reader) fail(err error) {
 		r.err = err
 	}
 }
+
+// Fail records err as the reader's error unless an earlier one is already
+// set — for codecs layered on the Reader whose own canonical-form checks
+// fail mid-message, so their callers keep chaining reads and check once.
+func (r *Reader) Fail(err error) { r.fail(err) }
 
 // Finish verifies the input was fully consumed and returns the reader's
 // error state. Trailing bytes are malformed input: every frame knows its own
