@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"tributarydelta/internal/aggregate"
 	"tributarydelta/internal/network"
-	"tributarydelta/internal/sketch"
+	"tributarydelta/internal/quantile"
+	"tributarydelta/internal/topo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden answer file")
@@ -31,59 +34,103 @@ type goldenRun struct {
 
 const goldenEpochs = 30
 
-// goldenRuns executes the reference workloads: Count and Sum across all four
-// schemes for seeds 1–3 under 25% global loss. newTransport, when non-nil,
-// substitutes a Transport built over the runner's own Net — the lever that
-// lets the same golden file pin alternative delivery backends. workers
-// selects the wave engine's pool bound (0 = the GOMAXPROCS default); the
-// golden file is answer-identical at every setting.
+// goldenRuns executes the reference workloads under 25% global loss for
+// seeds 1–3 across all four schemes: Count and Sum (sketch synopses), Average
+// (a sketch pair) and Quantiles (a bottom-k sample plus a population sketch
+// in the delta, precision-gradient summaries in the tributaries).
+// newTransport, when non-nil, substitutes a Transport built over the runner's
+// own Net — the lever that lets the same golden file pin alternative delivery
+// backends. workers selects the wave engine's pool bound (0 = the GOMAXPROCS
+// default); the golden file is answer-identical at every setting.
 func goldenRuns(t *testing.T, newTransport func(*network.Net) Transport, workers int) []goldenRun {
 	t.Helper()
 	var out []goldenRun
 	for seed := uint64(1); seed <= 3; seed++ {
 		f := newFixture(seed, 300)
 		for _, mode := range []Mode{ModeTree, ModeMultipath, ModeTDCoarse, ModeTD} {
-			cr := countRunner(t, f, mode, network.Global{P: 0.25}, seed,
-				func(cfg *Config[struct{}, int64, *sketch.Sketch, float64]) {
-					cfg.Workers = workers
-					if newTransport != nil {
-						cfg.Transport = newTransport(cfg.Net)
-					}
-				})
-			run := goldenRun{Agg: "Count", Mode: mode.String(), Seed: seed}
-			for _, res := range cr.Run(goldenEpochs) {
-				run.Epochs = append(run.Epochs, goldenEpoch{
-					Answer:      fmt.Sprintf("%.17g", res.Answer),
-					TrueContrib: res.TrueContrib,
-					DeltaSize:   res.DeltaSize,
-				})
-			}
-			out = append(out, run)
-
-			sr := sumRunner(t, f, mode, network.Global{P: 0.25}, seed,
-				func(cfg *Config[float64, float64, *sketch.Sketch, float64]) {
-					cfg.Workers = workers
-					if newTransport != nil {
-						cfg.Transport = newTransport(cfg.Net)
-					}
-				})
-			srun := goldenRun{Agg: "Sum", Mode: mode.String(), Seed: seed}
-			for _, res := range sr.Run(goldenEpochs) {
-				srun.Epochs = append(srun.Epochs, goldenEpoch{
-					Answer:      fmt.Sprintf("%.17g", res.Answer),
-					TrueContrib: res.TrueContrib,
-					DeltaSize:   res.DeltaSize,
-				})
-			}
-			out = append(out, srun)
+			g := goldenSetup{t: t, f: f, mode: mode, seed: seed, newTransport: newTransport, workers: workers}
+			out = append(out,
+				goldenSeries(g, "Count", aggregate.NewCount(seed),
+					func(int, int) struct{} { return struct{}{} }, formatFloat),
+				goldenSeries(g, "Sum", aggregate.NewSum(seed),
+					func(_, node int) float64 { return float64(node % 50) }, formatFloat),
+				goldenSeries(g, "Average", aggregate.NewAverage(seed),
+					func(epoch, node int) float64 { return float64((node*7 + epoch) % 61) }, formatFloat),
+				goldenSeries(g, "Quantiles", goldenQuantiles(f, seed),
+					func(epoch, node int) float64 { return float64((node*13+epoch*5)%101) / 4 }, formatSummary),
+			)
 		}
 	}
 	return out
 }
 
+// goldenSetup is the (fixture, scheme, seed, backend) a golden series runs on.
+type goldenSetup struct {
+	t            *testing.T
+	f            fixture
+	mode         Mode
+	seed         uint64
+	newTransport func(*network.Net) Transport
+	workers      int
+}
+
+// goldenSeries runs one aggregate for goldenEpochs epochs and records each
+// answer through format.
+func goldenSeries[V, P, S, R any](g goldenSetup, name string, agg aggregate.Aggregate[V, P, S, R], value func(epoch, node int) V, format func(R) string) goldenRun {
+	g.t.Helper()
+	cfg := Config[V, P, S, R]{
+		Graph: g.f.g, Rings: g.f.r, Tree: g.f.tr,
+		Net:     network.New(g.f.g, network.Global{P: 0.25}, g.seed),
+		Agg:     agg,
+		Value:   value,
+		Mode:    g.mode,
+		Seed:    g.seed,
+		Workers: g.workers,
+	}
+	if g.newTransport != nil {
+		cfg.Transport = g.newTransport(cfg.Net)
+	}
+	r, err := New(cfg)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	run := goldenRun{Agg: name, Mode: g.mode.String(), Seed: g.seed}
+	for _, res := range r.Run(goldenEpochs) {
+		run.Epochs = append(run.Epochs, goldenEpoch{
+			Answer:      format(res.Answer),
+			TrueContrib: res.TrueContrib,
+			DeltaSize:   res.DeltaSize,
+		})
+	}
+	return run
+}
+
+// goldenQuantiles is the Quantiles aggregate as the facade configures it:
+// a uniform ε = 0.02 precision gradient over the tree height, a 100-item
+// delta sample and a 40-bitmap population sketch.
+func goldenQuantiles(f fixture, seed uint64) *quantile.Agg {
+	h := max(f.tr.Heights()[topo.Base], 1)
+	return quantile.NewAgg(f.tr, seed, 100, 40, quantile.Uniform(0.02, h))
+}
+
+// formatFloat renders a scalar answer exactly (%.17g round-trips float64).
+func formatFloat(v float64) string { return fmt.Sprintf("%.17g", v) }
+
+// formatSummary renders a rank summary as its size, error, three quantiles
+// and an FNV-64a digest of its lossless wire encoding — every entry, bit for
+// bit, without writing hundreds of entries per epoch into the golden file.
+func formatSummary(s *quantile.Summary) string {
+	h := fnv.New64a()
+	h.Write(s.AppendWire(nil))
+	return fmt.Sprintf("n=%d eps=%.17g q10=%.17g q50=%.17g q90=%.17g wire=%016x",
+		s.N, s.Eps, s.Quantile(0.1), s.Quantile(0.5), s.Quantile(0.9), h.Sum64())
+}
+
 // TestGoldenAnswers pins every scheme's per-epoch answers bit-for-bit against
-// the pre-wire-refactor runner: the wire codec layer is required to be
-// lossless, so transmitting real bytes must not move a single answer.
+// the pre-wire-refactor runner (Count, Sum) and the pre-bit-packing codecs
+// (Average, Quantiles): the wire codec layer is required to be lossless, so
+// transmitting real bytes — however they are packed — must not move a single
+// answer.
 func TestGoldenAnswers(t *testing.T) {
 	path := filepath.Join("testdata", "golden_answers.json")
 	got := goldenRuns(t, nil, 1)
