@@ -46,9 +46,10 @@ func (a *UniformSample) AppendPartial(dst []byte, p *sample.Sample) []byte {
 	return p.AppendWire(dst)
 }
 
-// DecodePartial implements Aggregate.
+// DecodePartial implements Aggregate: ranks are recomputed from the seed,
+// not read.
 func (a *UniformSample) DecodePartial(data []byte) (*sample.Sample, error) {
-	return sample.DecodeWire(data, a.SampleK)
+	return sample.DecodeWire(data, a.Seed, a.SampleK)
 }
 
 // Convert implements Aggregate: identity up to copying (the synopsis must
@@ -70,7 +71,7 @@ func (a *UniformSample) ConvertInto(_, _ int, p *sample.Sample, dst *sample.Samp
 // DecodeSynopsisInto implements SynopsisRecycler.
 func (a *UniformSample) DecodeSynopsisInto(data []byte, dst *sample.Sample) (*sample.Sample, error) {
 	r := wire.NewReader(data)
-	if err := sample.ReadWireInto(r, dst); err != nil {
+	if err := sample.ReadWireInto(r, a.Seed, nil, dst); err != nil {
 		return nil, err
 	}
 	if err := r.Finish(); err != nil {
@@ -93,7 +94,7 @@ func (a *UniformSample) AppendSynopsis(dst []byte, s *sample.Sample) []byte {
 
 // DecodeSynopsis implements Aggregate.
 func (a *UniformSample) DecodeSynopsis(data []byte) (*sample.Sample, error) {
-	return sample.DecodeWire(data, a.SampleK)
+	return sample.DecodeWire(data, a.Seed, a.SampleK)
 }
 
 // EvalBase implements Aggregate.

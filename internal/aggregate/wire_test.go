@@ -105,10 +105,10 @@ func TestCodecsRejectGarbage(t *testing.T) {
 // paper's §5/§7.1 message costs for the running-example aggregates: a
 // Count/Sum tree partial is one 32-bit word (plus the one-word contributing
 // count the envelope carries), and the multi-path synopsis is the K-bitmap
-// FM sketch trimmed to the bytes its bitmaps use — for the paper's 600-sensor
-// field two bytes per bitmap plus the width header, about half the raw
-// one-word-per-bitmap vector and within 2x of §7.1's lossy 48-byte packing —
-// and never more than the 1+4K-byte ceiling.
+// FM sketch bit-packed to the width its widest bitmap needs — for the
+// paper's 600-sensor field nine bits per bitmap plus the width header, 46
+// bytes, under §7.1's lossy 48-byte packing and a quarter of the raw
+// one-word-per-bitmap vector — and never more than the 1+4K-byte ceiling.
 func TestPaperMessageCosts(t *testing.T) {
 	count := NewCount(9)
 	for _, c := range []int64{1, 57, 600, 100_000} {
@@ -122,14 +122,16 @@ func TestPaperMessageCosts(t *testing.T) {
 		}
 	}
 	syn := count.Convert(0, 1, 600)
-	if n := len(count.AppendSynopsis(nil, syn)); n != 1+2*count.K {
-		t.Fatalf("Count synopsis of 600 costs %d bytes, want 1+2k=%d", n, 1+2*count.K)
+	enc := count.AppendSynopsis(nil, syn)
+	if want := 1 + (count.K*9+7)/8; len(enc) != want || enc[0] != 9 {
+		t.Fatalf("Count synopsis of 600 costs %d bytes at width %d, want 1+⌈9k/8⌉=%d at width 9", len(enc), enc[0], want)
 	}
-	if w := SynopsisWords[struct{}, int64, *sketch.Sketch, float64](count, syn); w != count.K/2+1 {
-		t.Fatalf("Count synopsis costs %d words, want k/2+1=%d", w, count.K/2+1)
+	if w := SynopsisWords[struct{}, int64, *sketch.Sketch, float64](count, syn); w != 12 {
+		t.Fatalf("Count synopsis costs %d words, want 12", w)
 	}
-	if n := len(count.AppendSynopsis(nil, count.Convert(0, 1, 1))); n != 1+count.K {
-		t.Fatalf("single-reading Count synopsis costs %d bytes, want 1+k=%d", n, 1+count.K)
+	// One reading sets one bit at level 0 of one bitmap: one bit per bitmap.
+	if n := len(count.AppendSynopsis(nil, count.Convert(0, 1, 1))); n != 1+count.K/8 {
+		t.Fatalf("single-reading Count synopsis costs %d bytes, want 1+k/8=%d", n, 1+count.K/8)
 	}
 
 	sum := NewSum(10)
@@ -144,10 +146,12 @@ func TestPaperMessageCosts(t *testing.T) {
 		t.Fatalf("worst-case Sum partial costs %d words, want <= 3", w)
 	}
 	ssyn := sum.Convert(0, 1, 1234)
-	if n := len(sum.AppendSynopsis(nil, ssyn)); n != 1+2*sum.K || n > sum.MaxSynopsisBytes() {
-		t.Fatalf("Sum synopsis of 1234 costs %d bytes, want 1+2k=%d (ceiling %d)", n, 1+2*sum.K, sum.MaxSynopsisBytes())
+	senc := sum.AppendSynopsis(nil, ssyn)
+	if want := 1 + (sum.K*11+7)/8; len(senc) != want || senc[0] != 11 || len(senc) > sum.MaxSynopsisBytes() {
+		t.Fatalf("Sum synopsis of 1234 costs %d bytes at width %d, want 1+⌈11k/8⌉=%d at width 11 (ceiling %d)",
+			len(senc), senc[0], want, sum.MaxSynopsisBytes())
 	}
-	// The ceiling is reached only by a sum that sets a bit in a top byte.
+	// The ceiling is reached only by a sum that sets bit 31 of a bitmap.
 	huge := sum.Convert(0, 1, 1e12)
 	if n := len(sum.AppendSynopsis(nil, huge)); n != sum.MaxSynopsisBytes() || n != 1+4*sum.K {
 		t.Fatalf("huge Sum synopsis costs %d bytes, want the 1+4k=%d ceiling", n, 1+4*sum.K)
@@ -194,17 +198,25 @@ func TestSketchSynopsisRejectsNonCanonical(t *testing.T) {
 		if tc.decode(append(append([]byte(nil), tc.valid...), 0)) == nil {
 			t.Errorf("%s: trailing byte accepted", tc.name)
 		}
-		// An empty sketch is the one byte 0. Spelled as k explicit zero
-		// fields, or under a 5-byte width header with the bytes to back it,
-		// the first sketch must fail the message even though what follows
-		// it is intact.
-		rest := tc.valid[1+int(tc.valid[0])*tc.k:]
+		// An empty sketch is the one byte 0. Spelled as k explicit 1-bit
+		// zero fields, under a width header above 32 with the bytes to back
+		// it, or with a nonzero padding bit, the first sketch must fail the
+		// message even though what follows it is intact.
+		first := tc.valid[:1+(tc.k*int(tc.valid[0])+7)/8]
+		rest := tc.valid[len(first):]
 		if err := tc.decode(append([]byte{0}, rest...)); err != nil {
 			t.Fatalf("%s: empty first sketch rejected: %v", tc.name, err)
 		}
+		if tc.k%8 == 0 {
+			t.Fatalf("%s: k=%d leaves no padding bits to corrupt at width 1", tc.name, tc.k)
+		}
+		padded := append([]byte{1}, make([]byte, (tc.k+7)/8)...)
+		padded[1] |= 1                // bitmap 0 = 1: width 1 is minimal
+		padded[len(padded)-1] |= 0x80 // the last padding bit
 		for name, first := range map[string][]byte{
-			"non-minimal width": append([]byte{1}, make([]byte, tc.k)...),
-			"width header 5":    append([]byte{5}, make([]byte, 5*tc.k)...),
+			"non-minimal width": append([]byte{1}, make([]byte, (tc.k+7)/8)...),
+			"width header 33":   append([]byte{33}, make([]byte, (33*tc.k+7)/8)...),
+			"nonzero padding":   padded,
 		} {
 			if tc.decode(append(first, rest...)) == nil {
 				t.Errorf("%s: first sketch with %s accepted", tc.name, name)

@@ -65,6 +65,9 @@ type Agg struct {
 	ReseedEvery int
 	// heights indexes the precision gradient per node.
 	heights []int
+	// ranks memoizes the sample ranks of the current reseeding window, so
+	// decoding a sample item costs a table lookup, not a hash.
+	ranks *sample.RankMemo
 
 	// scratchSmp/scratchCnt/scratchCnts are the EvalBase delta-merge
 	// accumulators, reused epoch to epoch (EvalBase runs on the dispatch
@@ -80,8 +83,9 @@ type Agg struct {
 // (unpruned) tree summaries. The hash reseeding period defaults to 10
 // epochs, like the simple aggregates.
 func NewAgg(tree *topo.Tree, seed uint64, k, countK int, g Gradient) *Agg {
+	heights := tree.Heights()
 	return &Agg{Seed: seed, K: k, CountK: countK, Gradient: g, ReseedEvery: 10,
-		heights: tree.Heights()}
+		heights: heights, ranks: sample.NewRankMemo(len(heights))}
 }
 
 // epochKey identifies the hash-reseeding window epoch falls in; the count
@@ -152,7 +156,7 @@ func (a *Agg) DecodePartial(data []byte) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	smp, err := sample.ReadWire(r, a.K)
+	smp, err := sample.ReadWire(r, a.Seed, a.ranks, a.K)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +201,7 @@ func (a *Agg) ConvertInto(epoch, owner int, p *Partial, dst *Synopsis) *Synopsis
 // DecodeSynopsisInto implements aggregate.SynopsisRecycler.
 func (a *Agg) DecodeSynopsisInto(data []byte, dst *Synopsis) (*Synopsis, error) {
 	r := wire.NewReader(data)
-	if err := sample.ReadWireInto(r, dst.Smp); err != nil {
+	if err := sample.ReadWireInto(r, a.Seed, a.ranks, dst.Smp); err != nil {
 		return nil, err
 	}
 	sketch.ReadWireInto(r, dst.Cnt)
@@ -221,7 +225,7 @@ func (a *Agg) PartialEqual(x, y *Partial) bool {
 	if x == nil || y == nil {
 		return x == y
 	}
-	if x.Sum.N != y.Sum.N {
+	if x.Sum.N != y.Sum.N || x.Smp.RankEpoch() != y.Smp.RankEpoch() {
 		return false
 	}
 	xi, yi := x.Smp.Items(), y.Smp.Items()
@@ -252,7 +256,7 @@ func (a *Agg) AppendSynopsis(dst []byte, s *Synopsis) []byte {
 // DecodeSynopsis implements aggregate.Aggregate.
 func (a *Agg) DecodeSynopsis(data []byte) (*Synopsis, error) {
 	r := wire.NewReader(data)
-	smp, err := sample.ReadWire(r, a.K)
+	smp, err := sample.ReadWire(r, a.Seed, a.ranks, a.K)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"tributarydelta/internal/sample"
 	"tributarydelta/internal/topo"
+	"tributarydelta/internal/wire"
 	"tributarydelta/internal/xrand"
 )
 
@@ -95,12 +96,61 @@ func TestAggSynopsisRejectsNonCanonicalCount(t *testing.T) {
 	if err := decode(append(smp, 0)); err != nil {
 		t.Fatalf("empty population sketch rejected: %v", err)
 	}
+	// Bit-packed hand-made sketches: an all-zero body under width 1, and
+	// width headers past 32 backed by enough bytes for the widest reading.
 	for name, cnt := range map[string][]byte{
-		"non-minimal width": append([]byte{1}, make([]byte, a.CountK)...),
-		"width header 5":    append([]byte{5}, make([]byte, 5*a.CountK)...),
+		"non-minimal width": append([]byte{1}, make([]byte, (a.CountK+7)/8)...),
+		"width header 33":   append([]byte{33}, make([]byte, (33*a.CountK+7)/8)...),
+		"width header 255":  append([]byte{255}, make([]byte, 4*a.CountK)...),
 	} {
 		if decode(append(smp[:len(smp):len(smp)], cnt...)) == nil {
 			t.Errorf("population sketch with %s accepted", name)
+		}
+	}
+}
+
+// TestAggSampleRanksFromSeed pins the rank-free sample codec inside the
+// aggregate: a synopsis carries no ranks (count, rank epoch, then node and
+// reading per item), the aggregate's memoized decode agrees with the plain
+// hashing decode in every reseeding window, and a frame decoded under
+// another deployment seed is refused because its recomputed ranks no longer
+// ascend.
+func TestAggSampleRanksFromSeed(t *testing.T) {
+	a, _ := buildAgg(t, 6, 16, nil)
+	for epoch := 0; epoch < 3*a.ReseedEvery; epoch += 7 {
+		s := a.Convert(epoch, 1, a.Local(epoch, 1, 4))
+		for node := 2; node < 40; node++ {
+			s = a.Fuse(s, a.Convert(epoch, node, a.Local(epoch, node, float64(node%9))))
+		}
+		if s.Smp.Len() != a.K || s.Smp.RankEpoch() != uint64(a.rankEpoch(epoch)) {
+			t.Fatalf("epoch %d: sample of %d items in rank epoch %d", epoch, s.Smp.Len(), s.Smp.RankEpoch())
+		}
+		smp := s.Smp.AppendWire(nil)
+		// The count, the rank epoch, then each item's node and reading —
+		// nothing else.
+		want := len(wire.AppendUvarint(nil, uint64(a.K))) + len(wire.AppendUvarint(nil, s.Smp.RankEpoch()))
+		for _, it := range s.Smp.Items() {
+			want += len(wire.AppendUvarint(nil, uint64(it.Node))) + len(wire.AppendFloat64(nil, it.Value))
+		}
+		if len(smp) != want {
+			t.Fatalf("epoch %d: %d-item sample encodes to %d bytes, want %d", epoch, a.K, len(smp), want)
+		}
+		got, err := a.DecodeSynopsis(a.AppendSynopsis(nil, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := sample.DecodeWire(smp, a.Seed, a.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range got.Smp.Items() {
+			if it != plain.Items()[i] || it != s.Smp.Items()[i] {
+				t.Fatalf("epoch %d item %d: memoized %+v, hashed %+v, sent %+v", epoch, i, it, plain.Items()[i], s.Smp.Items()[i])
+			}
+		}
+		other, _ := buildAgg(t, 7, 16, nil)
+		if _, err := other.DecodeSynopsis(a.AppendSynopsis(nil, s)); err == nil {
+			t.Fatalf("epoch %d: synopsis decoded under another seed", epoch)
 		}
 	}
 }

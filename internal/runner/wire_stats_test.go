@@ -38,19 +38,20 @@ func TestByteAccountingTree(t *testing.T) {
 
 // TestByteAccountingMultipath pins the delta side: a broadcast frame
 // carries the synopsis sketch and the contributing-Count sketch, each
-// byte-trimmed (a width header plus 1 or 2 bytes per bitmap in a 300-node
-// field: a bit at position 16 would take a count near 2^16·K), plus a few
-// bytes of NC statistics and framing. A leaf's frame is the small end, the
-// base station's neighbours' the large one; the raw encoding's 8K bytes is
-// never approached.
+// bit-packed (a width header plus ⌈K·b/8⌉ bytes, where a 300-node field
+// needs 1 to 10 bits per bitmap: a bit at position 10 takes a count near
+// 2^10·K), plus a few bytes of NC statistics and framing. A leaf's frame is
+// the small end, the base station's neighbours' the large one; the raw
+// encoding's 8K bytes is never approached.
 func TestByteAccountingMultipath(t *testing.T) {
 	f := newFixture(32, 300)
 	r := countRunner(t, f, ModeMultipath, network.Global{P: 0}, 32)
 	r.RunEpoch(0)
 	const k = 40 // aggregate.DefaultSketchK and the default ContribK
 	const framing = 24
-	minBytes := int64(2 * (1 + k))
-	maxBytes := int64(2*(1+2*k) + framing)
+	sketchBytes := func(b int) int64 { return int64(1 + (k*b+7)/8) }
+	minBytes := 2 * sketchBytes(1)
+	maxBytes := 2*sketchBytes(10) + framing
 	var lo, hi int64 = 1 << 62, 0
 	for v := 1; v < f.g.N(); v++ {
 		tx := r.Stats.Transmissions[v]
@@ -63,11 +64,11 @@ func TestByteAccountingMultipath(t *testing.T) {
 		}
 		lo, hi = min(lo, b), max(hi, b)
 	}
-	// Both ends occur: one-byte fields at the leaves, a sketch grown to
-	// two-byte fields where hundreds of readings have been fused.
-	if lo > minBytes+framing || hi < (1+k)+(1+2*k) {
-		t.Fatalf("synopsis frames span %d..%d bytes, want both widths (<= %d and >= %d)",
-			lo, hi, minBytes+framing, (1+k)+(1+2*k))
+	// Both ends occur: one-bit fields at the leaves, sketches grown to 8 or
+	// more bits per bitmap where hundreds of readings have been fused.
+	if lo > minBytes+framing || hi < 2*sketchBytes(8) {
+		t.Fatalf("synopsis frames span %d..%d bytes, want both ends (<= %d and >= %d)",
+			lo, hi, minBytes+framing, 2*sketchBytes(8))
 	}
 }
 

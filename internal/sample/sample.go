@@ -9,6 +9,7 @@
 package sample
 
 import (
+	"fmt"
 	"sort"
 
 	"tributarydelta/internal/wire"
@@ -25,10 +26,21 @@ type Item struct {
 	Value float64
 }
 
-// Sample is a bottom-k sample. The zero value is unusable; construct with
-// New.
+// Rank is the bottom-k rank of node's reading in the given rank epoch: a
+// uniform hash of the reading's identity under the deployment seed. Any node
+// that knows the seed can recompute it, which is why the wire carries the
+// rank epoch once per sample and no rank at all.
+func Rank(seed, epoch, node uint64) uint64 {
+	return xrand.Hash(seed, 0x5A11, epoch, node)
+}
+
+// Sample is a bottom-k sample. Every item of a sample shares one rank epoch
+// (the epoch its ranks were drawn in); mixing epochs panics, because the
+// ranks of two epochs do not form one uniform sample and the wire format
+// cannot represent them. The zero value is unusable; construct with New.
 type Sample struct {
 	k     int
+	epoch uint64 // the items' rank epoch; 0 while empty
 	items []Item // sorted ascending by Rank, at most k entries, unique ranks
 }
 
@@ -46,16 +58,31 @@ func (s *Sample) K() int { return s.k }
 // Len returns the number of items currently held.
 func (s *Sample) Len() int { return len(s.items) }
 
+// RankEpoch returns the rank epoch every held item was ranked in (0 for an
+// empty sample).
+func (s *Sample) RankEpoch() uint64 { return s.epoch }
+
 // Items returns the held items in rank order. The slice is shared; callers
 // must not modify it.
 func (s *Sample) Items() []Item { return s.items }
 
-// Add inserts the reading of node for the given epoch. The rank hash is
-// derived from (seed, epoch, node), so re-adding the same reading — or
-// merging a sample that already contains it — cannot inflate its weight.
+// Add inserts the reading of node for the given rank epoch. The rank is
+// Rank(seed, epoch, node), so re-adding the same reading — or merging a
+// sample that already contains it — cannot inflate its weight. It panics if
+// the sample already holds items of another rank epoch.
 func (s *Sample) Add(seed uint64, epoch, node int, value float64) {
-	rank := xrand.Hash(seed, 0x5A11, uint64(epoch), uint64(node))
-	s.insert(Item{Rank: rank, Node: node, Value: value})
+	s.adoptEpoch(uint64(epoch))
+	s.insert(Item{Rank: Rank(seed, uint64(epoch), uint64(node)), Node: node, Value: value})
+}
+
+// adoptEpoch makes epoch the sample's rank epoch: an empty sample takes it,
+// a non-empty one must already have it.
+func (s *Sample) adoptEpoch(epoch uint64) {
+	if len(s.items) == 0 {
+		s.epoch = epoch
+	} else if s.epoch != epoch {
+		panic(fmt.Sprintf("sample: mixing rank epochs %d and %d", s.epoch, epoch))
+	}
 }
 
 // insert places it into rank order, dropping duplicates and trimming to k.
@@ -76,11 +103,16 @@ func (s *Sample) insert(it Item) {
 }
 
 // Merge folds other into s. Merge is commutative, associative and
-// idempotent. Both samples must have the same capacity.
+// idempotent. Both samples must have the same capacity and, unless one is
+// empty, the same rank epoch; it panics otherwise.
 func (s *Sample) Merge(other *Sample) {
 	if s.k != other.k {
 		panic("sample: merging samples of different capacities")
 	}
+	if len(other.items) == 0 {
+		return
+	}
+	s.adoptEpoch(other.epoch)
 	for _, it := range other.items {
 		s.insert(it)
 	}
@@ -89,6 +121,7 @@ func (s *Sample) Merge(other *Sample) {
 // Clone returns a deep copy.
 func (s *Sample) Clone() *Sample {
 	c := New(s.k)
+	c.epoch = s.epoch
 	c.items = append(c.items, s.items...)
 	return c
 }
@@ -97,15 +130,18 @@ func (s *Sample) Clone() *Sample {
 // primitive behind the epoch engine's synopsis pools.
 func (s *Sample) Reset() {
 	s.items = s.items[:0]
+	s.epoch = 0
 }
 
-// CopyFrom overwrites s's items with other's without allocating once s's
-// backing array has grown to other's length. Both samples must have the same
-// capacity k.
+// CopyFrom overwrites s — items and rank epoch — with other's, without
+// allocating once s's backing array has grown to other's length. Both
+// samples must have the same capacity k; it panics otherwise. (It replaces
+// rather than folds, so it cannot mix rank epochs.)
 func (s *Sample) CopyFrom(other *Sample) {
 	if s.k != other.k {
 		panic("sample: copying samples of different capacities")
 	}
+	s.epoch = other.epoch
 	s.items = append(s.items[:0], other.items...)
 }
 
@@ -113,7 +149,7 @@ func (s *Sample) CopyFrom(other *Sample) {
 // wire encoding so the accounting can never drift from what is transmitted.
 // The buffer is pre-sized (a capacity hint only, not accounting).
 func (s *Sample) Words() int {
-	buf := make([]byte, 0, 8+22*len(s.items))
+	buf := make([]byte, 0, 2*wire.MaxUvarintLen+len(s.items)*2*wire.MaxUvarintLen)
 	return wire.Words(len(s.AppendWire(buf)))
 }
 

@@ -1,7 +1,10 @@
 package sample
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -138,14 +141,41 @@ func TestWordsAndValues(t *testing.T) {
 	if want := wire.Words(len(s.AppendWire(nil))); s.Words() != want {
 		t.Fatalf("words = %d, want %d (encoded length)", s.Words(), want)
 	}
-	// Simple readings keep an item within ~3 words: 8 rank bytes + small
-	// node varint + compact float.
-	if s.Words() > 1+3*2 {
-		t.Fatalf("2-item sample costs %d words, want <= 7", s.Words())
+	// No rank travels: count, rank epoch, then a one-byte node and a
+	// two-byte reading per item — 8 bytes, 2 words.
+	if n := len(s.AppendWire(nil)); n != 1+1+2*(1+2) || s.Words() != 2 {
+		t.Fatalf("2-item sample costs %d bytes / %d words, want 8 / 2", n, s.Words())
 	}
 	if len(s.Values()) != 2 {
 		t.Fatal("values length")
 	}
+	if n := len(New(4).AppendWire(nil)); n != 1 {
+		t.Fatalf("empty sample costs %d bytes, want the one count byte", n)
+	}
+}
+
+// sampleOf returns a sample of capacity k over readings of nodes 0..n-1 in
+// rank epoch epoch.
+func sampleOf(seed uint64, epoch, k, n int) *Sample {
+	s := New(k)
+	src := xrand.NewSource(seed, uint64(epoch))
+	for node := 0; node < n; node++ {
+		s.Add(seed, epoch, node, src.Float64()*100)
+	}
+	return s
+}
+
+func sameSample(a, b *Sample) bool {
+	if a.K() != b.K() || a.Len() != b.Len() || a.RankEpoch() != b.RankEpoch() {
+		return false
+	}
+	for i, it := range a.Items() {
+		o := b.Items()[i]
+		if it.Rank != o.Rank || it.Node != o.Node || math.Float64bits(it.Value) != math.Float64bits(o.Value) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -155,58 +185,179 @@ func TestWireRoundTrip(t *testing.T) {
 		s.Add(3, 1, src.Intn(500), src.Float64()*100)
 	}
 	enc := s.AppendWire(nil)
-	got, err := DecodeWire(enc, 8)
+	got, err := DecodeWire(enc, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.K() != s.K() || got.Len() != s.Len() {
-		t.Fatalf("round trip shape: %d/%d vs %d/%d", got.K(), got.Len(), s.K(), s.Len())
-	}
-	for i, it := range got.Items() {
-		if it != s.Items()[i] {
-			t.Fatalf("item %d: %+v != %+v", i, it, s.Items()[i])
-		}
+	if !sameSample(got, s) {
+		t.Fatalf("round trip changed the sample: %+v vs %+v", got.Items(), s.Items())
 	}
 	// Truncations must error, never panic.
 	for i := 0; i < len(enc); i++ {
-		if _, err := DecodeWire(enc[:i], 8); err == nil {
+		if _, err := DecodeWire(enc[:i], 3, 8); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
 	// Over-capacity encodings are rejected.
-	if _, err := DecodeWire(enc, 2); err == nil {
+	if _, err := DecodeWire(enc, 3, 2); err == nil {
 		t.Fatal("sample above capacity accepted")
+	}
+	// Decoded under another seed the recomputed ranks no longer ascend
+	// (8 items: a random order ascends with probability 1/8!).
+	if _, err := DecodeWire(enc, 4, 8); err == nil {
+		t.Fatal("sample decoded under the wrong seed")
+	}
+}
+
+// TestDecodeWireRejectsNonCanonical: ranks are recomputed, so an item order
+// that is not the rank order, a repeated node, and any non-minimal varint
+// must all be refused — everything accepted re-encodes to its own bytes.
+func TestDecodeWireRejectsNonCanonical(t *testing.T) {
+	s := sampleOf(5, 7, 4, 50)
+	items := s.Items()
+	frame := func(epoch []byte, order ...int) []byte {
+		out := append(wire.AppendUvarint(nil, uint64(len(order))), epoch...)
+		for _, i := range order {
+			out = wire.AppendUvarint(out, uint64(items[i].Node))
+			out = wire.AppendFloat64(out, items[i].Value)
+		}
+		return out
+	}
+	epoch := wire.AppendUvarint(nil, 7)
+	if _, err := DecodeWire(frame(epoch, 0, 1, 2, 3), 5, 4); err != nil {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	padded := append(wire.AppendUvarint(nil, 4), 0x87, 0x00) // 7 as two bytes
+	for name, bad := range map[string][]byte{
+		"swapped items":         frame(epoch, 0, 2, 1, 3),
+		"repeated item":         frame(epoch, 0, 1, 1, 3),
+		"non-minimal epoch":     append(padded, frame(nil, 0, 1, 2, 3)[1:]...),
+		"non-minimal count":     append([]byte{0x84, 0x00}, frame(epoch, 0, 1, 2, 3)[1:]...),
+		"non-minimal empty":     {0x80, 0x00},
+		"trailing byte":         append(frame(epoch, 0, 1, 2, 3), 0),
+		"epoch of empty sample": {0, 7},
+	} {
+		if _, err := DecodeWire(bad, 5, 4); err == nil {
+			t.Errorf("DecodeWire accepted %s", name)
+		} else if !errors.Is(err, wire.ErrMalformed) && !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("%s: error %v is neither ErrMalformed nor ErrTruncated", name, err)
+		}
+	}
+	// A non-minimal node or value varint inside an item.
+	node := frame(epoch, 0, 1, 2, 3)
+	i := 2 // the first item's node varint
+	if node[i]&0x80 == 0 {
+		long := append(append(append([]byte(nil), node[:i]...), node[i]|0x80, 0), node[i+1:]...)
+		if _, err := DecodeWire(long, 5, 4); err == nil {
+			t.Error("DecodeWire accepted a non-minimal node id")
+		}
+	}
+}
+
+// TestMinimalItemFrames pins the element-count guard to the smallest item
+// the format has (a one-byte node and a one-byte reading): a guard sized for
+// the old 10-byte ranked item would refuse these valid frames.
+func TestMinimalItemFrames(t *testing.T) {
+	s := New(16)
+	for node := 0; node < 16; node++ {
+		s.Add(9, 0, node, 0) // the reading 0 is one varint byte
+	}
+	enc := s.AppendWire(nil)
+	if want := 1 + 1 + 2*16; len(enc) != want {
+		t.Fatalf("16 minimal items encode to %d bytes, want %d", len(enc), want)
+	}
+	got, err := DecodeWire(enc, 9, 16)
+	if err != nil {
+		t.Fatalf("minimal-item frame rejected: %v", err)
+	}
+	if !sameSample(got, s) {
+		t.Fatal("minimal-item frame decoded differently")
+	}
+}
+
+// TestRankMemoMatchesHash: the memoized decode is the hashing decode, for
+// node ids inside and outside the table, across epoch and seed changes, and
+// from concurrent decoders sharing one memo.
+func TestRankMemoMatchesHash(t *testing.T) {
+	memo := NewRankMemo(30) // nodes 30..59 fall outside the table
+	for _, seed := range []uint64{1, 2} {
+		for epoch := 0; epoch < 3; epoch++ {
+			s := sampleOf(seed, epoch, 12, 60)
+			enc := s.AppendWire(nil)
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := New(12)
+					r := wire.NewReader(enc)
+					if err := ReadWireInto(r, seed, memo, dst); err != nil || r.Finish() != nil {
+						t.Errorf("seed %d epoch %d: memoized decode failed: %v", seed, epoch, err)
+						return
+					}
+					if !sameSample(dst, s) {
+						t.Errorf("seed %d epoch %d: memoized decode differs", seed, epoch)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+}
+
+func TestMergeAndCopyRankEpochs(t *testing.T) {
+	a, b := sampleOf(1, 3, 8, 20), sampleOf(1, 4, 8, 20)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: mixing rank epochs did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Merge", func() { a.Clone().Merge(b) })
+	mustPanic("Add", func() { a.Clone().Add(1, 4, 99, 1) })
+	// An empty sample takes the epoch of what it merges or copies; merging
+	// an empty sample changes nothing.
+	e := New(8)
+	e.Merge(a)
+	e.Merge(New(8))
+	if !sameSample(e, a) {
+		t.Fatal("merge into an empty sample lost the rank epoch or items")
+	}
+	c := b.Clone()
+	c.CopyFrom(a)
+	if !sameSample(c, a) {
+		t.Fatal("CopyFrom did not carry the rank epoch")
+	}
+	c.Reset()
+	c.Merge(b)
+	if !sameSample(c, b) {
+		t.Fatal("a reset sample did not take the merged rank epoch")
 	}
 }
 
 func FuzzDecodeWire(f *testing.F) {
-	s := New(4)
-	s.Add(1, 0, 1, 10)
-	s.Add(1, 0, 2, 20)
-	f.Add(s.AppendWire(nil), 4)
-	f.Fuzz(func(t *testing.T, data []byte, k int) {
+	f.Add(sampleOf(1, 0, 4, 2).AppendWire(nil), uint64(1), 4)
+	f.Add(sampleOf(2, 9, 8, 40).AppendWire(nil), uint64(2), 8)
+	f.Add(New(3).AppendWire(nil), uint64(1), 3)
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, k int) {
 		if k <= 0 || k > 1<<16 {
 			return
 		}
-		got, err := DecodeWire(data, k)
+		got, err := DecodeWire(data, seed, k)
 		if err != nil {
 			return
 		}
-		// Whatever decodes must survive a re-encode/re-decode cycle intact.
+		// The codec is canonical: what decodes re-encodes to the input.
 		enc := got.AppendWire(nil)
-		again, err := DecodeWire(enc, k)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x re-encodes to %x", data, enc)
 		}
-		if again.Len() != got.Len() {
-			t.Fatalf("re-decode changed length: %d != %d", again.Len(), got.Len())
-		}
-		for i := range got.Items() {
-			a, b := again.Items()[i], got.Items()[i]
-			if a.Rank != b.Rank || a.Node != b.Node ||
-				math.Float64bits(a.Value) != math.Float64bits(b.Value) {
-				t.Fatalf("item %d changed across cycle", i)
-			}
+		again, err := DecodeWire(enc, seed, k)
+		if err != nil || !sameSample(again, got) {
+			t.Fatalf("re-decode changed the sample (%v)", err)
 		}
 	})
 }

@@ -103,8 +103,8 @@ func decodeCompactReference(data []byte, k int) (*Sketch, error) {
 
 // appendWireRawReference and decodeWireRawReference are the pre-trimming wire
 // codec — every bitmap a fixed little-endian 32-bit word, 4K bytes — kept as
-// the reference the byte-trimmed AppendWire/LoadWire are differentially
-// tested against: both must reconstruct the identical sketch.
+// the reference the bit-packed AppendWire/LoadWire are differentially tested
+// against: both must reconstruct the identical sketch.
 func appendWireRawReference(dst []byte, s *Sketch) []byte {
 	for m := 0; m < s.K(); m++ {
 		dst = binary.LittleEndian.AppendUint32(dst, s.bitmap(m))
@@ -118,6 +118,26 @@ func decodeWireRawReference(data []byte, k int) *Sketch {
 		s.words[m>>1] |= uint64(binary.LittleEndian.Uint32(data[4*m:])) << (uint(m&1) * BitmapBits)
 	}
 	return s
+}
+
+// appendWireBitsReference is the bit-packed wire encoding written one bit at
+// a time with an explicit field width b: the header byte, then every bitmap's
+// low b bits LSB-first into a zero-padded byte stream. With b the minimal
+// width it must equal AppendWire byte for byte; with a wider b it builds the
+// non-canonical encodings the decoder has to refuse.
+func appendWireBitsReference(dst []byte, s *Sketch, b int) []byte {
+	dst = append(dst, byte(b))
+	body := make([]byte, (s.K()*b+7)/8)
+	pos := 0
+	for m := 0; m < s.K(); m++ {
+		for i := 0; i < b; i++ {
+			if s.bitmap(m)>>uint(i)&1 == 1 {
+				body[pos/8] |= 1 << uint(pos%8)
+			}
+			pos++
+		}
+	}
+	return append(dst, body...)
 }
 
 type refError string

@@ -91,18 +91,6 @@ func PutUvarint(b []byte, v uint64) {
 	b[i] = byte(v)
 }
 
-// AppendUint32 appends v as four little-endian bytes — the fixed-width
-// encoding for values with no redundancy to compress (hashes, ranks).
-func AppendUint32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// AppendUint64 appends v as eight little-endian bytes.
-func AppendUint64(dst []byte, v uint64) []byte {
-	dst = AppendUint32(dst, uint32(v))
-	return AppendUint32(dst, uint32(v>>32))
-}
-
 // AppendFloat64 appends v exactly: the IEEE-754 bit pattern is byte-reversed
 // and varint-encoded, compressing the trailing zero bytes of typical sensor
 // readings. Every float64 (including NaNs, infinities and -0) round-trips
@@ -213,27 +201,6 @@ func (r *Reader) Uvarint() uint64 {
 func (r *Reader) Varint() int64 {
 	u := r.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
-}
-
-// Uint32 reads four little-endian bytes.
-func (r *Reader) Uint32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 4 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	b := r.buf[r.off:]
-	r.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// Uint64 reads eight little-endian bytes.
-func (r *Reader) Uint64() uint64 {
-	lo := r.Uint32()
-	hi := r.Uint32()
-	return uint64(lo) | uint64(hi)<<32
 }
 
 // Float64 reads a float encoded by AppendFloat64.

@@ -45,21 +45,6 @@ func TestSmallNegativeVarintsStaySmall(t *testing.T) {
 	}
 }
 
-func TestFixedWidthRoundTrip(t *testing.T) {
-	buf := AppendUint32(nil, 0xDEADBEEF)
-	buf = AppendUint64(buf, 0x0123456789ABCDEF)
-	r := NewReader(buf)
-	if got := r.Uint32(); got != 0xDEADBEEF {
-		t.Fatalf("uint32 = %x", got)
-	}
-	if got := r.Uint64(); got != 0x0123456789ABCDEF {
-		t.Fatalf("uint64 = %x", got)
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFloat64RoundTripExact(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1, 25, 123.456, 1e-300, 1e300,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64}
@@ -109,7 +94,7 @@ func TestReaderStickyErrors(t *testing.T) {
 		t.Fatal("expected truncation")
 	}
 	// Every later read stays zero with the first error.
-	if r.Uint32() != 0 || r.Float64() != 0 || r.Bool() || r.Take(1) != nil {
+	if r.Byte() != 0 || r.Float64() != 0 || r.Bool() || r.Take(1) != nil {
 		t.Fatal("reads after error must be zero")
 	}
 	if r.Err() != ErrTruncated {
@@ -148,7 +133,7 @@ func TestAppendReusesCapacity(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	out := AppendUvarint(buf, 300)
 	out = AppendFloat64(out, 25)
-	out = AppendUint32(out, 9)
+	out = AppendBool(out, true)
 	if &buf[:1][0] != &out[:1][0] {
 		t.Fatal("append-style encoders must reuse the caller's buffer")
 	}
