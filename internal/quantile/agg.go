@@ -225,7 +225,7 @@ func (a *Agg) PartialEqual(x, y *Partial) bool {
 	if x == nil || y == nil {
 		return x == y
 	}
-	if x.Sum.N != y.Sum.N || x.Smp.RankEpoch() != y.Smp.RankEpoch() {
+	if x.Sum.N != y.Sum.N {
 		return false
 	}
 	xi, yi := x.Smp.Items(), y.Smp.Items()

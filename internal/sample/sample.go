@@ -149,7 +149,7 @@ func (s *Sample) CopyFrom(other *Sample) {
 // wire encoding so the accounting can never drift from what is transmitted.
 // The buffer is pre-sized (a capacity hint only, not accounting).
 func (s *Sample) Words() int {
-	buf := make([]byte, 0, 2*wire.MaxUvarintLen+len(s.items)*2*wire.MaxUvarintLen)
+	buf := make([]byte, 0, 8+22*len(s.items))
 	return wire.Words(len(s.AppendWire(buf)))
 }
 

@@ -18,8 +18,9 @@ import (
 // byte), zero-padded to a whole byte: 1+⌈K·b/8⌉ bytes in all. FM bitmaps fill
 // from bit 0 upward and a field of n sensors almost never sets a bit above
 // log2(n)+a few, so everything above the widest bitmap's top bit is dead
-// weight on the radio: a 600-sensor Count synopsis typically needs 6–8 bits
-// per bitmap, and an empty sketch is the single byte 0. It is the lossless
+// weight on the radio: a leaf's Count synopsis needs 1 bit per bitmap, the
+// count of a whole 600-sensor field 9, and an empty sketch is the single
+// byte 0. It is the lossless
 // counterpart of the paper's §7.1 packing (40 bitmaps run-length-packed into
 // one 48-byte TinyDB message): unlike EncodeCompact, which drops bits above
 // the fringe window and is kept for those TinyDB experiments, the wire codec
@@ -35,8 +36,8 @@ import (
 // bitmaps then fill exactly b bytes). Against the byte-aligned fields it
 // replaced, on K = 40 sketches of the widths a 600-sensor field produces,
 // in random order (BenchmarkWireMixed, 2-vCPU AMD EPYC): encode 24 → 31 ns,
-// decode 20 → 31 ns per sketch, for 25–40 % fewer bytes in every synopsis
-// frame.
+// decode 20 → 31 ns per sketch. They buy 39 % of a 600-sensor TD Count
+// epoch's radio bytes (46 384 → 28 308 B).
 //
 // The bitmap count is carried by context (the aggregate's configuration),
 // not the message, exactly as a fixed deployment-wide query plan would.
