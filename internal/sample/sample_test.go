@@ -255,8 +255,8 @@ func TestDecodeWireRejectsNonCanonical(t *testing.T) {
 }
 
 // TestMinimalItemFrames pins the element-count guard to the smallest item
-// the format has (a one-byte node and a one-byte reading): a guard sized for
-// the old 10-byte ranked item would refuse these valid frames.
+// the format has (a one-byte node and a one-byte reading): a guard that
+// demands more bytes per item refuses these valid frames.
 func TestMinimalItemFrames(t *testing.T) {
 	s := New(16)
 	for node := 0; node < 16; node++ {

@@ -35,7 +35,7 @@ import (
 // with clamped unaligned loads, four field pairs per load when b ≤ 8 (eight
 // bitmaps then fill exactly b bytes). Against the byte-aligned fields it
 // replaced, on K = 40 sketches of the widths a 600-sensor field produces,
-// in random order (BenchmarkWireMixed, 2-vCPU AMD EPYC): encode 24 → 31 ns,
+// in random order (BenchmarkWireMixed, 2-vCPU AMD EPYC): encode 24 → 29 ns,
 // decode 20 → 31 ns per sketch. They buy 39 % of a 600-sensor TD Count
 // epoch's radio bytes (46 384 → 28 308 B).
 //
@@ -63,7 +63,7 @@ func packedBytes(k int, b uint) int { return int((uint(k)*b + 7) / 8) }
 // pass over the packed words picks the width b, then the bitmaps stream out
 // as b-bit fields. This is the runner's per-broadcast hot path; the packing
 // loop lives here rather than in a helper because the call is a measurable
-// share of the encode (≈2 of 31 ns).
+// share of the encode (it cost ≈2 ns of 31).
 //
 //td:hotpath
 func (s *Sketch) AppendWire(dst []byte) []byte {
