@@ -78,15 +78,16 @@ func windowBytes(t *testing.T, spec residentSpec) int64 {
 	return total() - atStart
 }
 
-// TestBenchResidentBytes pins the radio bytes of the sim-td/udp-td resident
-// and of fleet-churn's first four residents — its whole fleet on a 2-vCPU
-// host (odd seeds SD, even seeds TD). Per epoch the pins are the bench's
-// bytes_per_epoch: 28 308.028 B on sim-td, and on fleet-churn the residents'
-// mean, 50 624.543 B.
+// TestBenchResidentBytes pins the radio bytes of the http-tag resident, the
+// sim-td/udp-td resident and fleet-churn's first four residents — its whole
+// fleet on a 2-vCPU host (odd seeds SD, even seeds TD). Per epoch the pins are
+// the bench's bytes_per_epoch: 5 276.205 B on http-tag, 28 308.028 B on
+// sim-td, and on fleet-churn the residents' mean, 50 624.543 B.
 func TestBenchResidentBytes(t *testing.T) {
 	fleetSD := []string{"count", "sum"}
 	fleetTD := []string{"count", "average", "quantiles"}
 	specs := []residentSpec{
+		{"http-tag", 600, 1, 0.2, td.SchemeTAG, []string{"count"}, 4_220_964},
 		{"sim-td", 600, 1, 0.2, td.SchemeTD, []string{"count"}, 22_646_422},
 		{"fleet-churn/1", 300, 1, 0.1, td.SchemeSD, fleetSD, 30_241_215},
 		{"fleet-churn/2", 300, 2, 0.3, td.SchemeTD, fleetTD, 51_196_730},

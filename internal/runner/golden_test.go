@@ -60,11 +60,20 @@ func goldenRuns(t *testing.T, newTransport func(*network.Net) Transport, workers
 					func(epoch, node int) float64 { return float64((node*13+epoch*5)%101) / 4 }, formatSummary),
 			)
 		}
+		// The TD series above expand by the max/2 rule every 10 epochs, on the
+		// aggregates' own 10-epoch reseeding windows. This one expands to the
+		// 3rd-largest non-contributing subtree every 7 epochs, so decisions
+		// fall inside reseeding windows and read the top-k statistics.
+		g := goldenSetup{t: t, f: f, mode: ModeTD, seed: seed, newTransport: newTransport, workers: workers,
+			topK: 3, adaptEvery: 7}
+		out = append(out, goldenSeries(g, "Count", aggregate.NewCount(seed),
+			func(int, int) struct{} { return struct{}{} }, formatFloat))
 	}
 	return out
 }
 
-// goldenSetup is the (fixture, scheme, seed, backend) a golden series runs on.
+// goldenSetup is the (fixture, scheme, seed, backend) a golden series runs on,
+// with the §4.2 top-k and adaptation period left at their defaults when zero.
 type goldenSetup struct {
 	t            *testing.T
 	f            fixture
@@ -72,6 +81,8 @@ type goldenSetup struct {
 	seed         uint64
 	newTransport func(*network.Net) Transport
 	workers      int
+	topK         int
+	adaptEvery   int
 }
 
 // goldenSeries runs one aggregate for goldenEpochs epochs and records each
@@ -80,12 +91,14 @@ func goldenSeries[V, P, S, R any](g goldenSetup, name string, agg aggregate.Aggr
 	g.t.Helper()
 	cfg := Config[V, P, S, R]{
 		Graph: g.f.g, Rings: g.f.r, Tree: g.f.tr,
-		Net:     network.New(g.f.g, network.Global{P: 0.25}, g.seed),
-		Agg:     agg,
-		Value:   value,
-		Mode:    g.mode,
-		Seed:    g.seed,
-		Workers: g.workers,
+		Net:        network.New(g.f.g, network.Global{P: 0.25}, g.seed),
+		Agg:        agg,
+		Value:      value,
+		Mode:       g.mode,
+		Seed:       g.seed,
+		Workers:    g.workers,
+		TopK:       g.topK,
+		AdaptEvery: g.adaptEvery,
 	}
 	if g.newTransport != nil {
 		cfg.Transport = g.newTransport(cfg.Net)
@@ -94,7 +107,11 @@ func goldenSeries[V, P, S, R any](g goldenSetup, name string, agg aggregate.Aggr
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	run := goldenRun{Agg: name, Mode: g.mode.String(), Seed: g.seed}
+	mode := g.mode.String()
+	if g.topK != 0 || g.adaptEvery != 0 {
+		mode = fmt.Sprintf("%s/top%d/every%d", mode, g.topK, g.adaptEvery)
+	}
+	run := goldenRun{Agg: name, Mode: mode, Seed: g.seed}
 	for _, res := range r.Run(goldenEpochs) {
 		run.Epochs = append(run.Epochs, goldenEpoch{
 			Answer:      format(res.Answer),
