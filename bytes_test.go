@@ -81,18 +81,18 @@ func windowBytes(t *testing.T, spec residentSpec) int64 {
 // TestBenchResidentBytes pins the radio bytes of the http-tag resident, the
 // sim-td/udp-td resident and fleet-churn's first four residents — its whole
 // fleet on a 2-vCPU host (odd seeds SD, even seeds TD). Per epoch the pins are
-// the bench's bytes_per_epoch: 5 276.205 B on http-tag, 28 308.028 B on
-// sim-td, and on fleet-churn the residents' mean, 50 624.543 B.
+// the bench's bytes_per_epoch: 2 876.205 B on http-tag, 23 422.106 B on
+// sim-td, and on fleet-churn the residents' mean, 44 973.486 B.
 func TestBenchResidentBytes(t *testing.T) {
 	fleetSD := []string{"count", "sum"}
 	fleetTD := []string{"count", "average", "quantiles"}
 	specs := []residentSpec{
-		{"http-tag", 600, 1, 0.2, td.SchemeTAG, []string{"count"}, 4_220_964},
-		{"sim-td", 600, 1, 0.2, td.SchemeTD, []string{"count"}, 22_646_422},
-		{"fleet-churn/1", 300, 1, 0.1, td.SchemeSD, fleetSD, 30_241_215},
-		{"fleet-churn/2", 300, 2, 0.3, td.SchemeTD, fleetTD, 51_196_730},
-		{"fleet-churn/3", 300, 3, 0.1, td.SchemeSD, fleetSD, 28_911_870},
-		{"fleet-churn/4", 300, 4, 0.3, td.SchemeTD, fleetTD, 51_648_724},
+		{"http-tag", 600, 1, 0.2, td.SchemeTAG, []string{"count"}, 2_300_964},
+		{"sim-td", 600, 1, 0.2, td.SchemeTD, []string{"count"}, 18_737_685},
+		{"fleet-churn/1", 300, 1, 0.1, td.SchemeSD, fleetSD, 27_841_215},
+		{"fleet-churn/2", 300, 2, 0.3, td.SchemeTD, fleetTD, 44_469_428},
+		{"fleet-churn/3", 300, 3, 0.1, td.SchemeSD, fleetSD, 26_511_870},
+		{"fleet-churn/4", 300, 4, 0.3, td.SchemeTD, fleetTD, 45_092_644},
 	}
 	for _, spec := range specs {
 		t.Run(spec.name, func(t *testing.T) {

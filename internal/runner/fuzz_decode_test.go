@@ -96,7 +96,7 @@ func synopsisDecoders(f fixture) []fuzzDecoder {
 func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder) {
 	for _, d := range decoders {
 		f.Add(wire.AppendDatagram(nil, 1, 0, 5, wire.AppendEnvelope(nil, &wire.Envelope{
-			Kind: wire.KindTree, Epoch: 1, From: 2, Contrib: 1, Payload: d.good,
+			Kind: wire.KindTree, From: 2, Contrib: 1, Payload: d.good,
 		})))
 		f.Add(d.good)
 	}

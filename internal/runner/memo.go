@@ -1,9 +1,6 @@
 package runner
 
-import (
-	"tributarydelta/internal/sketch"
-	"tributarydelta/internal/wire"
-)
+import "tributarydelta/internal/sketch"
 
 // Epoch-over-epoch synopsis memoization.
 //
@@ -27,11 +24,14 @@ import (
 //     conversion function runs only when the tributary's value moves.
 //  3. Frame reuse: a node whose period keys, own partial, sender set,
 //     boundary inputs and synopsis senders are all unchanged ("clean") skips
-//     fusion and encoding outright and re-broadcasts last epoch's frame with
-//     only the epoch header field patched. Cleanliness is inductive — a
-//     synopsis input is unchanged exactly when its sender was clean this
-//     epoch — and levels run deepest-first, so a sender's verdict is always
-//     ready before its receivers ask.
+//     fusion and encoding outright and re-broadcasts last epoch's frame byte
+//     for byte — the frame carries no epoch. A frame is reused only on an
+//     epoch of the kind it was built for: §4.2 statistics ride on decision
+//     epochs alone (Runner.ncEpoch), so a decision epoch rebuilds the frames
+//     of the epochs before it, and the epoch after rebuilds again.
+//     Cleanliness is inductive — a synopsis input is unchanged exactly when
+//     its sender was clean this epoch — and levels run deepest-first, so a
+//     sender's verdict is always ready before its receivers ask.
 //
 // Everything here is a pure cache: answers, frame bytes and network.Stats
 // accounting are bit-identical with memoization on, off (Config.NoMemo), or
@@ -151,11 +151,12 @@ func (r *Runner[V, P, S, R]) bustMemo() {
 }
 
 // tryReuseFrame is the clean-path check for node v: if every input of v's
-// outgoing frame is provably unchanged since the last built epoch, the frame
-// bytes are reused with only the epoch header patched, and the whole
-// build+fuse+encode pipeline is skipped. Ground-truth contributors are
-// recomputed from this epoch's actual arrivals regardless. Returns false —
-// after recording v as not clean — whenever anything moved.
+// outgoing frame is provably unchanged since the last built epoch, and that
+// epoch shipped §4.2 statistics exactly when this one does, the frame bytes
+// are reused as they are, and the whole build+fuse+encode pipeline is
+// skipped. Ground-truth contributors are recomputed from this epoch's actual
+// arrivals regardless. Returns false — after recording v as not clean —
+// whenever anything moved.
 func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
 	nm := &r.memoState[v]
 	if !r.state.IsM(v) {
@@ -167,6 +168,7 @@ func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
 	in := r.inbox[v]
 	own := r.cfg.Agg.Local(epoch, v, r.cfg.Value(r.valueEpoch(epoch, v), v))
 	clean := r.keysStable && nm.prevValid && nm.ownValid &&
+		r.frames[slot].ncEpoch == r.ncEpoch(epoch) &&
 		r.memo.PartialEqual(nm.ownP, own) && len(in) == len(nm.prevSenders)
 	if clean {
 		for i, idx := range in {
@@ -198,7 +200,6 @@ func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
 		orBits(contributors, r.frames[idx].env.contributors)
 	}
 	r.envs[slot].contributors = contributors
-	r.patchFrameEpoch(&r.frames[slot], epoch)
 	return true
 }
 
@@ -215,26 +216,4 @@ func (r *Runner[V, P, S, R]) recordMemo(v int) {
 		nm.prevSenders = append(nm.prevSenders, int32(r.frames[idx].env.from))
 	}
 	nm.prevValid = true
-}
-
-// patchFrameEpoch rewrites the epoch field of a cached frame in place — the
-// "header-only variation" of a reused broadcast. The epoch uvarint sits at a
-// fixed offset (after the version and kind bytes); when its width changes
-// (epoch crossing a 7-bit boundary) the tail shifts once and the frame is
-// again patchable in place.
-func (r *Runner[V, P, S, R]) patchFrameEpoch(f *frameSlot[P, S], epoch int) {
-	newLen := wire.UvarintLen(uint64(epoch))
-	oldLen := int(f.epochLen)
-	if newLen != oldLen {
-		tailLen := len(f.buf) - 2 - oldLen
-		if newLen > oldLen {
-			f.buf = append(f.buf, make([]byte, newLen-oldLen)...)
-		}
-		copy(f.buf[2+newLen:2+newLen+tailLen], f.buf[2+oldLen:2+oldLen+tailLen])
-		if newLen < oldLen {
-			f.buf = f.buf[:2+newLen+tailLen]
-		}
-		f.epochLen = uint8(newLen)
-	}
-	wire.PutUvarint(f.buf[2:2+newLen], uint64(epoch))
 }

@@ -13,8 +13,8 @@ import (
 // contributing estimate and stats counter must be bit-identical with the
 // caches engaged, disabled, and at every worker count — under loss (partial
 // reuse), under zero loss (the fully-clean steady state), across reseeding
-// period rollovers, adaptation switches, changing readings, and the epoch
-// uvarint width boundary that forces a header reshape in patchFrameEpoch.
+// period rollovers, adaptation switches, changing readings, and decision
+// epochs, whose frames carry the §4.2 statistics the others leave out.
 
 // runSeries executes epochs and flattens the observable outcome.
 func runSeries[V, P, S any](r *Runner[V, P, S, float64], epochs int) []string {
@@ -39,9 +39,9 @@ func compareSeries(t *testing.T, label string, got, want []string) {
 }
 
 // TestMemoMatchesNoMemo pins the cache-transparency contract across modes,
-// loss rates and worker counts, for Count and Sum. 140 epochs cross the
-// epoch-127→128 uvarint width boundary, several reseeding periods and
-// (in the TD modes) many adaptation decisions.
+// loss rates and worker counts, for Count and Sum. 140 epochs cross
+// several reseeding periods and (in the TD modes) many adaptation
+// decisions.
 func TestMemoMatchesNoMemo(t *testing.T) {
 	const epochs = 140
 	for _, mode := range []Mode{ModeMultipath, ModeTDCoarse, ModeTD} {
@@ -131,32 +131,6 @@ func TestMemoReseedInvalidates(t *testing.T) {
 	for v := 1; v < f.g.N(); v++ {
 		if r.memoState[v].clean {
 			t.Fatalf("node %d clean across a reseeding boundary", v)
-		}
-	}
-}
-
-// TestPatchFrameEpochWidths drives patchFrameEpoch across uvarint width
-// transitions in both directions and checks the patched frame matches a
-// fresh encoding byte for byte.
-func TestPatchFrameEpochWidths(t *testing.T) {
-	f := newFixture(35, 120)
-	r := countRunner(t, f, ModeMultipath, network.Global{P: 0}, 35)
-	var slot frameSlot[int64, *sketch.Sketch]
-	env := envelope[int64, *sketch.Sketch]{
-		from: 17, isTree: false,
-		s:         sketch.New(40),
-		contribSk: sketch.New(40),
-	}
-	env.s.AddCount(1, 17, 1000)
-	env.contribSk.AddCount(2, 17, 1)
-	ws := r.ws[0]
-	r.encodeFrame(ws, 5, &env, &slot)
-	var want frameSlot[int64, *sketch.Sketch]
-	for _, epoch := range []int{5, 127, 128, 300, 16384, 70, 2} {
-		r.patchFrameEpoch(&slot, epoch)
-		r.encodeFrame(ws, epoch, &env, &want)
-		if string(slot.buf) != string(want.buf) {
-			t.Fatalf("epoch %d: patched frame differs from fresh encoding", epoch)
 		}
 	}
 }

@@ -268,7 +268,8 @@ type Runner[V, P, S, R any] struct {
 	// subtree NC counts, top-k merge, wire hints). Only the TD expansion
 	// strategy consumes them — StrategyNone (pure multipath) and the coarse
 	// strategy decide on the contributing fraction alone, so their runs skip
-	// the bookkeeping and their frames stop carrying the hints.
+	// the bookkeeping and their frames never carry the hints. Even under TD
+	// the hints travel only on decision epochs (see ncEpoch).
 	trackNC bool
 	// keysStable reports that neither hash-reseeding period rolled over
 	// since the last epoch; memoPrimed that prevAggKey/prevContribKey hold
@@ -356,8 +357,11 @@ type Runner[V, P, S, R any] struct {
 	baseSyns         []S
 	baseContrib      []uint64
 	baseChildContrib map[int]int64
-	baseTopNC        []int
 	baseContribSrcs  []*sketch.Sketch
+	// baseTopNC and baseMinNC are the §4.2 statistics the base station
+	// merged this epoch: empty except on decision epochs.
+	baseTopNC []int
+	baseMinNC int
 }
 
 // Wave phases.
@@ -408,9 +412,10 @@ type frameSlot[P, S any] struct {
 	buf    []byte
 	env    envelope[P, S]
 	needed bool
-	// epochLen is the byte width of the epoch uvarint in buf — what lets a
-	// memoized frame patch its epoch header in place (see patchFrameEpoch).
-	epochLen uint8
+	// ncEpoch records that buf was built on an epoch whose frames carry the
+	// §4.2 statistics (see Runner.ncEpoch): a memoized frame is reused only
+	// on an epoch of the same kind.
+	ncEpoch bool
 }
 
 // workerState is one wave worker's private scratch: the reusable decode
@@ -922,6 +927,16 @@ func (r *Runner[V, P, S, R]) contribEpochKey(epoch int) uint64 {
 	return uint64(epoch / r.cfg.AdaptEvery)
 }
 
+// ncEpoch reports whether epoch's frames carry the §4.2 non-contributing
+// statistics: only under TD, and only on the last epoch of an adaptation
+// period, the one whose statistics Decide reads. lastNC is still refreshed
+// every epoch: Decide also reads the last report of a vertex that stopped
+// reporting mid-period (churn), and that must not depend on which epochs
+// ship the statistics.
+func (r *Runner[V, P, S, R]) ncEpoch(epoch int) bool {
+	return r.trackNC && (epoch+1)%r.cfg.AdaptEvery == 0
+}
+
 // topKCap is how many NC values envelopes carry: at least the controller's
 // k, minimum 4 so the max/2 rule sees ties.
 func (r *Runner[V, P, S, R]) topKCap() int {
@@ -1059,6 +1074,7 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 	clear(contributors)
 	baseChildContrib := r.baseChildContrib
 	clear(baseChildContrib)
+	shipNC := r.ncEpoch(epoch)
 	topNC := r.baseTopNC[:0]
 	minNC, ncValid := 0, false
 	for _, idx := range r.inbox[topo.Base] {
@@ -1074,7 +1090,7 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 			} else {
 				cs.Union(e.contribSk)
 			}
-			if r.trackNC && e.ncValid {
+			if shipNC && e.ncValid {
 				topNC = mergeTopK(topNC, e.topNC, r.topKCap())
 				if !ncValid || e.minNC < minNC {
 					minNC = e.minNC
@@ -1118,6 +1134,9 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 				nc = 0
 			}
 			r.lastNC[c] = nc
+			if !shipNC {
+				continue
+			}
 			topNC = insertTopK(topNC, nc, r.topKCap())
 			if !ncValid || nc < minNC {
 				minNC = nc
@@ -1125,7 +1144,7 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 			ncValid = true
 		}
 	}
-	r.baseTopNC = topNC[:0]
+	r.baseTopNC, r.baseMinNC = topNC, minNC
 
 	// Adaptation period: the base station compares % contributing against
 	// the threshold and broadcasts a switch directive (§4.2).
@@ -1339,6 +1358,7 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 		ws.contribSrcs = append(ws.contribSrcs[:0], cs)
 	}
 	subtreeContrib := int64(1)
+	shipNC := r.ncEpoch(epoch)
 	topNC := ws.topNC[:0]
 	minNC, ncValid := 0, false
 	for _, idx := range in {
@@ -1394,7 +1414,7 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 			} else {
 				cs.Union(e.contribSk)
 			}
-			if r.trackNC && e.ncValid {
+			if shipNC && e.ncValid {
 				topNC = mergeTopK(topNC, e.topNC, r.topKCap())
 				if !ncValid || e.minNC < minNC {
 					minNC = e.minNC
@@ -1418,11 +1438,13 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 			nc = 0
 		}
 		r.lastNC[v] = nc
-		topNC = insertTopK(topNC, nc, r.topKCap())
-		if !ncValid || nc < minNC {
-			minNC = nc
+		if shipNC {
+			topNC = insertTopK(topNC, nc, r.topKCap())
+			if !ncValid || nc < minNC {
+				minNC = nc
+			}
+			ncValid = true
 		}
-		ncValid = true
 	}
 	*out = envelope[P, S]{
 		from: v, isTree: false, s: s,
@@ -1447,7 +1469,7 @@ func (r *Runner[V, P, S, R]) convert(ws *workerState[P, S], epoch, owner int, p 
 //
 //td:hotpath
 func (r *Runner[V, P, S, R]) encodeFrame(ws *workerState[P, S], epoch int, env *envelope[P, S], slot *frameSlot[P, S]) {
-	we := wire.Envelope{Epoch: uint32(epoch), From: uint32(env.from)}
+	we := wire.Envelope{From: uint32(env.from)}
 	if env.isTree {
 		we.Kind = wire.KindTree
 		we.Contrib = env.contribTree
@@ -1466,7 +1488,7 @@ func (r *Runner[V, P, S, R]) encodeFrame(ws *workerState[P, S], epoch int, env *
 	}
 	we.Payload = ws.payloadBuf
 	slot.buf = wire.AppendEnvelope(slot.buf[:0], &we)
-	slot.epochLen = uint8(wire.UvarintLen(uint64(epoch)))
+	slot.ncEpoch = r.ncEpoch(epoch)
 }
 
 // decodeFrame reconstructs an envelope from received bytes into *dst, fully

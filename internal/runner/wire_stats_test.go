@@ -11,7 +11,7 @@ import (
 // TestByteAccountingTree pins the byte-level energy accounting of the
 // tributary fast path: a Count tree frame is the paper's two payload words
 // (one-word partial + one-word contributing count) plus at most one word of
-// framing (version, kind, epoch, sender, length).
+// framing (header byte, sender).
 func TestByteAccountingTree(t *testing.T) {
 	f := newFixture(31, 300)
 	r := countRunner(t, f, ModeTree, network.Global{P: 0}, 31)
@@ -40,15 +40,17 @@ func TestByteAccountingTree(t *testing.T) {
 // carries the synopsis sketch and the contributing-Count sketch, each
 // bit-packed (a width header plus ⌈K·b/8⌉ bytes, where a 300-node field
 // needs 1 to 10 bits per bitmap: a bit at position 10 takes a count near
-// 2^10·K), plus a few bytes of NC statistics and framing. A leaf's frame is
-// the small end, the base station's neighbours' the large one; the raw
-// encoding's 8K bytes is never approached.
+// 2^10·K), plus at most 4 bytes of framing: the header byte, a sender id
+// below 2^14 and the contributing sketch's length byte (SD frames carry no
+// §4.2 statistics). A leaf's frame is the small end, the base station's
+// neighbours' the large one; the raw encoding's 8K bytes is never
+// approached.
 func TestByteAccountingMultipath(t *testing.T) {
 	f := newFixture(32, 300)
 	r := countRunner(t, f, ModeMultipath, network.Global{P: 0}, 32)
 	r.RunEpoch(0)
 	const k = 40 // aggregate.DefaultSketchK and the default ContribK
-	const framing = 24
+	const framing = 4
 	sketchBytes := func(b int) int64 { return int64(1 + (k*b+7)/8) }
 	minBytes := 2 * sketchBytes(1)
 	maxBytes := 2*sketchBytes(10) + framing

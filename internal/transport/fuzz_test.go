@@ -72,7 +72,7 @@ func checkShardInvariants(t *testing.T, s *shardState) {
 // proportionally to a hostile header field, and keep the round accounting
 // consistent no matter what arrives.
 func FuzzShardReceive(f *testing.F) {
-	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, Epoch: 2, From: 3, Contrib: 1})
+	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 3, Contrib: 1})
 	f.Add(wire.AppendDatagram(nil, 1, 0, 5, frame))                     // valid, node 5 lives on shard 1 of 4
 	f.Add(wire.AppendDatagram(nil, 1, 0, 6, frame))                     // wrong shard
 	f.Add(wire.AppendDatagram(nil, 1, wire.MaxDatagramSeq-1, 5, frame)) // max seq
@@ -104,7 +104,7 @@ func FuzzShardReceive(f *testing.F) {
 // accepted before it, drop the rest, and count exactly one malformed for
 // the truncated tail; the round accounting invariants must hold throughout.
 func FuzzShardReceiveBatch(f *testing.F) {
-	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, Epoch: 2, From: 3, Contrib: 1})
+	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 3, Contrib: 1})
 	batch := wire.AppendDatagramBatch(nil, 1, 0)
 	batch = wire.AppendBatchFrame(batch, 5, frame)
 	batch = wire.AppendBatchFrame(batch, 9, frame)
@@ -150,15 +150,17 @@ func FuzzShardReceiveBatch(f *testing.F) {
 // same reused decoder — and the shard must count exactly one malformed drop
 // or one accepted frame per datagram.
 func FuzzEnvelopeDecode(f *testing.F) {
-	f.Add(wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, Epoch: 1, From: 2, Contrib: 7}))
+	f.Add(wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 2, Contrib: 7}))
 	f.Add(wire.AppendEnvelope(nil, &wire.Envelope{
-		Kind: wire.KindSynopsis, Epoch: 3, From: 4,
+		Kind: wire.KindSynopsis, From: 4,
 		ContribSketch: []byte{1, 2, 3}, NCValid: true, TopNC: []int{4, 2}, MinNC: 2, Payload: []byte{9},
 	}))
+	f.Add([]byte{0x15, 2, 7})       // NC flag on a tree frame
+	f.Add([]byte{0x11, 0x82, 0x00}) // non-minimal From
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-	good := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, Epoch: 5, From: 6, Contrib: 1})
+	good := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 6, Contrib: 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s := newShardState(16, 4, 1, false, time.Millisecond)
 		var dec wire.Decoder

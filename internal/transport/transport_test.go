@@ -45,10 +45,8 @@ func countRunner(t *testing.T, f fixture, mode runner.Mode, net *network.Net, se
 }
 
 // treeFrame builds a minimal valid tree-partial frame from the given sender.
-func treeFrame(epoch, from int) []byte {
-	return wire.AppendEnvelope(nil, &wire.Envelope{
-		Kind: wire.KindTree, Epoch: uint32(epoch), From: uint32(from), Contrib: 1,
-	})
+func treeFrame(from int) []byte {
+	return wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: uint32(from), Contrib: 1})
 }
 
 // TestDeterministicMatchesSimulator pins the tentpole determinism property:
@@ -100,7 +98,7 @@ func TestDropOnFull(t *testing.T) {
 			<-gate
 		},
 	})
-	frame := treeFrame(0, 2)
+	frame := treeFrame(2)
 	if !ch.Deliver(0, 0, 2, 1, frame) {
 		t.Fatal("first delivery refused")
 	}
@@ -143,7 +141,7 @@ func TestEpochBarrier(t *testing.T) {
 	const frames = 25
 	for i := 0; i < frames; i++ {
 		to := 1 + i%5
-		if !ch.Deliver(7, 0, 6+i%3, to, treeFrame(7, 6+i%3)) {
+		if !ch.Deliver(7, 0, 6+i%3, to, treeFrame(6+i%3)) {
 			t.Fatalf("lossless delivery %d refused", i)
 		}
 	}
@@ -161,7 +159,7 @@ func TestCloseIdempotent(t *testing.T) {
 	f := newFixture(3, 50)
 	net := network.New(f.g, network.Global{P: 0}, 3)
 	ch := transport.New(net, transport.Options{})
-	if !ch.Deliver(0, 0, 2, 1, treeFrame(0, 2)) {
+	if !ch.Deliver(0, 0, 2, 1, treeFrame(2)) {
 		t.Fatal("lossless delivery refused")
 	}
 	ch.Close()

@@ -35,7 +35,7 @@ func TestUDPFlushMidBatch(t *testing.T) {
 	u.BeginEpoch(0)
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		if !u.Deliver(0, 0, 2, 1+2*i, treeFrame(0, 2)) { // odd receivers: all shard 1
+		if !u.Deliver(0, 0, 2, 1+2*i, treeFrame(2)) { // odd receivers: all shard 1
 			t.Fatalf("lossless delivery %d refused", i)
 		}
 	}
@@ -73,7 +73,7 @@ func TestUDPBatchStraddlesMaxDatagram(t *testing.T) {
 	const frames = 400
 	var bytes int64
 	for i := 0; i < frames; i++ {
-		frame := treeFrame(0, 2+i%7)
+		frame := treeFrame(2 + i%7)
 		bytes += int64(len(frame))
 		if !u.Deliver(0, 0, 2+i%7, 1, frame) {
 			t.Fatalf("lossless delivery %d refused", i)
@@ -250,7 +250,7 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 
 	// A healthy round first, so the kill demonstrably lands on a working fleet.
 	u.BeginEpoch(0)
-	if !u.Deliver(0, 0, 2, 1, treeFrame(0, 2)) {
+	if !u.Deliver(0, 0, 2, 1, treeFrame(2)) {
 		t.Fatal("healthy delivery refused")
 	}
 	u.EndEpoch(0)
@@ -261,7 +261,7 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 	u.BeginEpoch(1)
 	const toVictim = 5
 	for i := 0; i < toVictim; i++ {
-		if !u.Deliver(1, 0, 2, 1+2*i, treeFrame(1, 2)) { // odd receivers: shard 1
+		if !u.Deliver(1, 0, 2, 1+2*i, treeFrame(2)) { // odd receivers: shard 1
 			t.Fatalf("mid-batch delivery %d refused", i)
 		}
 	}
@@ -293,7 +293,7 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 
 	// The surviving shard keeps taking rounds.
 	u.BeginEpoch(2)
-	if !u.Deliver(2, 0, 3, 2, treeFrame(2, 3)) { // even receiver: shard 0
+	if !u.Deliver(2, 0, 3, 2, treeFrame(3)) { // even receiver: shard 0
 		t.Fatal("survivor delivery refused")
 	}
 	u.EndEpoch(2)

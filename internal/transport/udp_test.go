@@ -127,7 +127,7 @@ func TestUDPCloseIdempotent(t *testing.T) {
 		t.Fatalf("NewUDP: %v", err)
 	}
 	u.BeginEpoch(0)
-	if !u.Deliver(0, 0, 2, 1, treeFrame(0, 2)) {
+	if !u.Deliver(0, 0, 2, 1, treeFrame(2)) {
 		t.Fatal("lossless delivery refused")
 	}
 	u.EndEpoch(0)
@@ -151,7 +151,7 @@ func TestUDPOversizeFrame(t *testing.T) {
 	}
 	defer u.Close()
 	big := wire.AppendEnvelope(nil, &wire.Envelope{
-		Kind: wire.KindTree, Epoch: 1, From: 2, Contrib: 1, Payload: make([]byte, 1024),
+		Kind: wire.KindTree, From: 2, Contrib: 1, Payload: make([]byte, 1024),
 	})
 	u.BeginEpoch(1)
 	if u.Deliver(1, 0, 2, 1, big) {
@@ -162,7 +162,7 @@ func TestUDPOversizeFrame(t *testing.T) {
 		t.Fatalf("sticky error = %v, want negotiated-size failure", err)
 	}
 	// The transport stays usable for frames that fit.
-	if !u.Deliver(1, 0, 2, 1, treeFrame(1, 2)) {
+	if !u.Deliver(1, 0, 2, 1, treeFrame(2)) {
 		t.Fatal("small frame refused after oversize error")
 	}
 	u.EndEpoch(1)

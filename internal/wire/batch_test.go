@@ -7,8 +7,8 @@ import (
 
 func TestDatagramBatchRoundTrip(t *testing.T) {
 	frames := [][]byte{
-		AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 7, From: 12, Contrib: 3}),
-		AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 7, From: 599, Contrib: 1}),
+		AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 12, Contrib: 3}),
+		AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 599, Contrib: 1}),
 		{},
 		bytes.Repeat([]byte{0xab}, 300),
 	}
@@ -126,7 +126,7 @@ func TestDatagramBatchDecodeRejects(t *testing.T) {
 // re-encode/re-decode round trip unchanged. (Byte-level canonicality is NOT
 // guaranteed: uvarint readers accept non-minimal encodings.)
 func FuzzDatagramBatchDecode(f *testing.F) {
-	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 9, From: 4, Contrib: 2})
+	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 4, Contrib: 2})
 	seed := AppendDatagramBatch(nil, 1, 0)
 	seed = AppendBatchFrame(seed, 17, frame)
 	seed = AppendBatchFrame(seed, 3, nil)

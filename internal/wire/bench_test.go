@@ -40,7 +40,6 @@ func benchEnvelope() *Envelope {
 	}
 	return &Envelope{
 		Kind:          KindSynopsis,
-		Epoch:         1000,
 		From:          321,
 		ContribSketch: payload[:160],
 		TopNC:         []int{17, 9, 3, 0},
@@ -77,7 +76,7 @@ func BenchmarkDecodeEnvelope(b *testing.B) {
 func BenchmarkEncodeDecodeTreeFrame(b *testing.B) {
 	// The tributary fast path: a Count partial is a couple of varints.
 	payload := AppendVarint(nil, 57)
-	e := &Envelope{Kind: KindTree, Epoch: 12, From: 99, Contrib: 57, Payload: payload}
+	e := &Envelope{Kind: KindTree, From: 99, Contrib: 57, Payload: payload}
 	buf := make([]byte, 0, 32)
 	b.ReportAllocs()
 	b.ResetTimer()

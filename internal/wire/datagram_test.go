@@ -6,7 +6,7 @@ import (
 )
 
 func TestDatagramRoundTrip(t *testing.T) {
-	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 7, From: 12, Contrib: 3})
+	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 12, Contrib: 3})
 	cases := []struct {
 		round uint64
 		seq   int
@@ -33,7 +33,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 }
 
 func TestDatagramDecodeRejects(t *testing.T) {
-	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 1, From: 2, Contrib: 1})
+	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 2, Contrib: 1})
 	good := AppendDatagram(nil, 3, 4, 5, frame)
 	bad := [][]byte{
 		nil,
@@ -61,7 +61,7 @@ func TestDatagramDecodeRejects(t *testing.T) {
 // re-encode/re-decode round trip unchanged. (Byte-level canonicality is NOT
 // guaranteed: uvarint readers accept non-minimal encodings.)
 func FuzzDatagramDecode(f *testing.F) {
-	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 9, From: 4, Contrib: 2})
+	frame := AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 4, Contrib: 2})
 	f.Add(AppendDatagram(nil, 1, 0, 17, frame))
 	f.Add(AppendDatagram(nil, 1<<30, MaxDatagramSeq-1, 0, nil))
 	f.Add([]byte{DatagramMagic, DatagramVersion})

@@ -9,7 +9,7 @@ import (
 // that makes DecodeEnvelope allocate (TopNC) and that Decoder must not.
 func synFrame(from uint32, topNC []int) []byte {
 	return AppendEnvelope(nil, &Envelope{
-		Kind: KindSynopsis, Epoch: 9, From: from,
+		Kind: KindSynopsis, From: from,
 		ContribSketch: []byte{1, 2, 3, 4},
 		NCValid:       true, TopNC: topNC, MinNC: -2,
 		Payload: []byte{0xAB, 0xCD},
@@ -18,7 +18,7 @@ func synFrame(from uint32, topNC []int) []byte {
 
 func TestDecoderMatchesDecodeEnvelope(t *testing.T) {
 	frames := [][]byte{
-		AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 1, From: 2, Contrib: 77, Payload: []byte{5}}),
+		AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 2, Contrib: 77, Payload: []byte{5}}),
 		synFrame(3, []int{9, 4, 1}),
 		synFrame(4, nil),
 	}
@@ -100,10 +100,13 @@ func TestDecoderSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecoderRejectsBadFrames cuts an NC-bearing synopsis frame everywhere
+// before its two payload bytes; a cut inside the payload is the payload
+// codec's to reject (see TestEnvelopeRejectsBadFrames).
 func TestDecoderRejectsBadFrames(t *testing.T) {
 	var d Decoder
 	good := synFrame(1, []int{3, 2, 1})
-	for i := 0; i < len(good); i++ {
+	for i := 0; i < len(good)-2; i++ {
 		if _, err := d.Decode(good[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}

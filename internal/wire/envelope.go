@@ -14,14 +14,29 @@ const (
 	KindSynopsis Kind = 2
 )
 
-// Version is the envelope format version; the first frame byte.
+// Version is the envelope format version: the high nibble of the header
+// byte.
 const Version = 1
 
+// Header byte layout: Version in the high nibble, the kind in bits 0–1, the
+// NC-present flag in bit 2 (synopsis frames only) and bit 3 reserved, zero.
+const (
+	headerKindMask = 0x03
+	headerNC       = 0x04
+	headerReserved = 0x08
+)
+
 // Envelope is the framed radio message of one transmission: the scheme tag,
-// the epoch and sender, the piggybacked contributing-Count (an exact integer
-// in the tributaries, an encoded FM sketch in the delta), the §4.2
-// adaptation statistics, and the aggregate-specific payload produced by the
-// aggregate's partial or synopsis codec.
+// the sender, the piggybacked contributing-Count (an exact integer in the
+// tributaries, an encoded FM sketch in the delta), the §4.2 adaptation
+// statistics when the sender ships them, and the aggregate-specific payload
+// produced by the aggregate's partial or synopsis codec.
+//
+// The frame is one header byte, the sender, the kind's fields and then the
+// payload, which runs to the end of the frame: the payload codecs delimit
+// themselves and reject trailing or missing bytes. The epoch is not a field —
+// every receiver learns it from outside the frame (the runner's round, the
+// UDP datagram's round header).
 //
 // The simulator's ground-truth contributor bitset is deliberately NOT part
 // of the envelope: it is bookkeeping about the network, not a field a real
@@ -29,8 +44,6 @@ const Version = 1
 type Envelope struct {
 	// Kind is the scheme tag: tree partial or multi-path synopsis.
 	Kind Kind
-	// Epoch is the collection round the message belongs to.
-	Epoch uint32
 	// From is the sending node id.
 	From uint32
 
@@ -39,12 +52,14 @@ type Envelope struct {
 	Contrib int64
 
 	// ContribSketch is the encoded duplicate-insensitive contributing-Count
-	// sketch (KindSynopsis only).
+	// sketch (KindSynopsis only). It keeps a length prefix: the sketch
+	// codec needs the bitmap count to delimit itself, which the envelope
+	// does not know.
 	ContribSketch []byte
 
 	// TopNC, MinNC and NCValid carry the §4.2 non-contributing subtree
 	// statistics (KindSynopsis only). TopNC is descending; NCValid marks
-	// presence.
+	// presence and is the header's NC flag.
 	TopNC []int
 	// MinNC is the smallest tracked non-contributing subtree size (see
 	// TopNC).
@@ -59,16 +74,19 @@ type Envelope struct {
 
 // AppendEnvelope appends the framed encoding of e to dst.
 func AppendEnvelope(dst []byte, e *Envelope) []byte {
-	dst = append(dst, Version, byte(e.Kind))
-	dst = AppendUvarint(dst, uint64(e.Epoch))
+	header := byte(Version<<4) | byte(e.Kind)&headerKindMask
+	nc := e.Kind == KindSynopsis && e.NCValid
+	if nc {
+		header |= headerNC
+	}
+	dst = append(dst, header)
 	dst = AppendUvarint(dst, uint64(e.From))
 	switch e.Kind {
 	case KindTree:
 		dst = AppendVarint(dst, e.Contrib)
 	case KindSynopsis:
 		dst = AppendBytes(dst, e.ContribSketch)
-		dst = AppendBool(dst, e.NCValid)
-		if e.NCValid {
+		if nc {
 			dst = AppendUvarint(dst, uint64(len(e.TopNC)))
 			for _, v := range e.TopNC {
 				dst = AppendVarint(dst, int64(v))
@@ -76,7 +94,7 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 			dst = AppendVarint(dst, int64(e.MinNC))
 		}
 	}
-	return AppendBytes(dst, e.Payload)
+	return append(dst, e.Payload...)
 }
 
 // MaxSynopsisEnvelopeBytes bounds the framed size of a KindSynopsis envelope
@@ -84,18 +102,17 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 // sizes — what a sender pre-sizes its frame buffers to, so frames whose
 // fields vary epoch to epoch never regrow them.
 func MaxSynopsisEnvelopeBytes(contribBytes, topNC, payloadBytes int) int {
-	const uvarint32 = 5 // Epoch and From are 32-bit
+	const uvarint32 = 5 // From is 32-bit
 
-	return 2 + 2*uvarint32 + // version, kind, epoch, from
+	return 1 + uvarint32 + // header, from
 		UvarintLen(uint64(contribBytes)) + contribBytes +
-		1 + (1+topNC+1)*MaxUvarintLen + // NCValid; count, TopNC values, MinNC
-		UvarintLen(uint64(payloadBytes)) + payloadBytes
+		(1+topNC+1)*MaxUvarintLen + // count, TopNC values, MinNC
+		payloadBytes
 }
 
 // DecodeEnvelope parses a frame produced by AppendEnvelope. The returned
-// envelope's byte fields alias data. Trailing bytes, unknown versions and
-// unknown kinds are errors. Each call allocates the TopNC slice afresh; hot
-// receive loops decode through a reusable Decoder instead.
+// envelope's byte fields alias data. Each call allocates the TopNC slice
+// afresh; hot receive loops decode through a reusable Decoder instead.
 func DecodeEnvelope(data []byte) (Envelope, error) {
 	var d Decoder
 	return d.Decode(data)
@@ -124,45 +141,74 @@ func (d *Decoder) Reset() {
 // Decode parses a frame produced by AppendEnvelope, drawing TopNC storage
 // from the decoder's arena. See the Decoder type docs for the lifetime
 // contract; errors match DecodeEnvelope's.
+//
+// The decoder accepts exactly the frames AppendEnvelope emits: an unknown
+// version nibble or kind, a reserved header bit, the NC flag on a tree frame
+// and a non-minimal varint are all malformed. The payload is whatever
+// follows the envelope's fields; truncated or trailing payload bytes are for
+// the payload codec to reject.
 func (d *Decoder) Decode(data []byte) (Envelope, error) {
 	r := NewReader(data)
 	var e Envelope
-	if v := r.Byte(); r.Err() == nil && v != Version {
+	header := r.Byte()
+	if err := r.Err(); err != nil {
+		return Envelope{}, err
+	}
+	e.Kind = Kind(header & headerKindMask)
+	e.NCValid = header&headerNC != 0
+	if header>>4 != Version || header&headerReserved != 0 ||
+		(e.Kind != KindTree && e.Kind != KindSynopsis) || (e.Kind == KindTree && e.NCValid) {
 		return Envelope{}, ErrMalformed
 	}
-	e.Kind = Kind(r.Byte())
-	epoch := r.Uvarint()
-	from := r.Uvarint()
-	if r.Err() == nil && (epoch > math.MaxUint32 || from > math.MaxUint32) {
+	from := r.minimalUvarint()
+	if r.Err() == nil && from > math.MaxUint32 {
 		return Envelope{}, ErrMalformed
 	}
-	e.Epoch = uint32(epoch)
 	e.From = uint32(from)
-	switch e.Kind {
-	case KindTree:
-		e.Contrib = r.Varint()
-	case KindSynopsis:
-		e.ContribSketch = r.Bytes()
-		e.NCValid = r.Bool()
+	if e.Kind == KindTree {
+		e.Contrib = r.minimalVarint()
+	} else {
+		e.ContribSketch = r.Take(int(r.minimalUvarint()))
 		if e.NCValid {
+			start := r.off
 			n := r.Count(1)
+			r.requireMinimal(start, uint64(n))
 			if n > 0 {
 				base := len(d.topNC)
 				for i := 0; i < n; i++ {
-					d.topNC = append(d.topNC, int(r.Varint()))
+					d.topNC = append(d.topNC, int(r.minimalVarint()))
 				}
 				e.TopNC = d.topNC[base:]
 			}
-			e.MinNC = int(r.Varint())
-		}
-	default:
-		if r.Err() == nil {
-			return Envelope{}, ErrMalformed
+			e.MinNC = int(r.minimalVarint())
 		}
 	}
-	e.Payload = r.Bytes()
-	if err := r.Finish(); err != nil {
+	e.Payload = r.Take(r.Remaining())
+	if err := r.Err(); err != nil {
 		return Envelope{}, err
 	}
 	return e, nil
+}
+
+// requireMinimal fails r if the uvarint read from offset start, which decoded
+// to v, spent more bytes than v needs (a redundant zero final group) — so
+// that every accepted envelope re-encodes to the very bytes it came from.
+func (r *Reader) requireMinimal(start int, v uint64) {
+	if r.err == nil && r.off-start != UvarintLen(v) {
+		r.fail(ErrMalformed)
+	}
+}
+
+// minimalUvarint reads a uvarint and rejects a non-minimal encoding.
+func (r *Reader) minimalUvarint() uint64 {
+	start := r.off
+	v := r.Uvarint()
+	r.requireMinimal(start, v)
+	return v
+}
+
+// minimalVarint is minimalUvarint for a zigzag-encoded signed varint.
+func (r *Reader) minimalVarint() int64 {
+	u := r.minimalUvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }

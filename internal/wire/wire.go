@@ -78,33 +78,12 @@ func UvarintLen(v uint64) int {
 	return n
 }
 
-// PutUvarint encodes v into b, which must be at least UvarintLen(v) bytes —
-// the in-place form used to patch a single varint field (the epoch of a
-// memoized frame) without re-encoding the rest of the message.
-func PutUvarint(b []byte, v uint64) {
-	i := 0
-	for v >= 0x80 {
-		b[i] = byte(v) | 0x80
-		v >>= 7
-		i++
-	}
-	b[i] = byte(v)
-}
-
 // AppendFloat64 appends v exactly: the IEEE-754 bit pattern is byte-reversed
 // and varint-encoded, compressing the trailing zero bytes of typical sensor
 // readings. Every float64 (including NaNs, infinities and -0) round-trips
 // bit-for-bit.
 func AppendFloat64(dst []byte, v float64) []byte {
 	return AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(v)))
-}
-
-// AppendBool appends a single 0/1 byte.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
 }
 
 // AppendBytes appends b length-prefixed (uvarint length, then the raw
@@ -206,16 +185,6 @@ func (r *Reader) Varint() int64 {
 // Float64 reads a float encoded by AppendFloat64.
 func (r *Reader) Float64() float64 {
 	return math.Float64frombits(bits.ReverseBytes64(r.Uvarint()))
-}
-
-// Bool reads a 0/1 byte; any other value is malformed.
-func (r *Reader) Bool() bool {
-	b := r.Byte()
-	if b > 1 {
-		r.fail(ErrMalformed)
-		return false
-	}
-	return b == 1
 }
 
 // Bytes reads a length-prefixed byte string written by AppendBytes. The

@@ -68,15 +68,10 @@ func TestFloat64CompactForSimpleValues(t *testing.T) {
 	}
 }
 
-func TestBytesAndBool(t *testing.T) {
-	buf := AppendBool(nil, true)
-	buf = AppendBool(buf, false)
-	buf = AppendBytes(buf, []byte("hello"))
+func TestBytes(t *testing.T) {
+	buf := AppendBytes(nil, []byte("hello"))
 	buf = AppendBytes(buf, nil)
 	r := NewReader(buf)
-	if !r.Bool() || r.Bool() {
-		t.Fatal("bools")
-	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte("hello")) {
 		t.Fatalf("bytes = %q", got)
 	}
@@ -94,7 +89,7 @@ func TestReaderStickyErrors(t *testing.T) {
 		t.Fatal("expected truncation")
 	}
 	// Every later read stays zero with the first error.
-	if r.Byte() != 0 || r.Float64() != 0 || r.Bool() || r.Take(1) != nil {
+	if r.Byte() != 0 || r.Float64() != 0 || r.Bytes() != nil || r.Take(1) != nil {
 		t.Fatal("reads after error must be zero")
 	}
 	if r.Err() != ErrTruncated {
@@ -115,12 +110,6 @@ func TestReaderMalformed(t *testing.T) {
 	if err := r.Finish(); err != ErrMalformed {
 		t.Fatalf("trailing byte: %v", err)
 	}
-	// Bad bool.
-	r = NewReader([]byte{7})
-	r.Bool()
-	if r.Err() != ErrMalformed {
-		t.Fatalf("bool 7: %v", r.Err())
-	}
 	// Hostile count: claims 1<<40 elements in 2 bytes.
 	r = NewReader(append(AppendUvarint(nil, 1<<40), 0, 0))
 	r.Count(1)
@@ -133,20 +122,25 @@ func TestAppendReusesCapacity(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	out := AppendUvarint(buf, 300)
 	out = AppendFloat64(out, 25)
-	out = AppendBool(out, true)
+	out = AppendBytes(out, []byte{1})
 	if &buf[:1][0] != &out[:1][0] {
 		t.Fatal("append-style encoders must reuse the caller's buffer")
 	}
 }
 
 func TestEnvelopeTreeRoundTrip(t *testing.T) {
-	e := &Envelope{Kind: KindTree, Epoch: 42, From: 17, Contrib: 123, Payload: []byte{9, 8, 7}}
+	e := &Envelope{Kind: KindTree, From: 17, Contrib: 123, Payload: []byte{9, 8, 7}}
 	buf := AppendEnvelope(nil, e)
+	// Header (version 1, kind 1), From, zigzag Contrib, then the payload to
+	// the end of the frame.
+	if want := []byte{0x11, 17, 0xF6, 0x01, 9, 8, 7}; !bytes.Equal(buf, want) {
+		t.Fatalf("tree frame % x, want % x", buf, want)
+	}
 	got, err := DecodeEnvelope(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindTree || got.Epoch != 42 || got.From != 17 || got.Contrib != 123 ||
+	if got.Kind != KindTree || got.From != 17 || got.Contrib != 123 || got.NCValid ||
 		!bytes.Equal(got.Payload, e.Payload) {
 		t.Fatalf("round trip: %+v", got)
 	}
@@ -154,7 +148,7 @@ func TestEnvelopeTreeRoundTrip(t *testing.T) {
 
 func TestEnvelopeSynopsisRoundTrip(t *testing.T) {
 	e := &Envelope{
-		Kind: KindSynopsis, Epoch: 7, From: 3,
+		Kind: KindSynopsis, From: 3,
 		ContribSketch: []byte{1, 2, 3, 4},
 		TopNC:         []int{9, 4, 0},
 		MinNC:         -1,
@@ -162,6 +156,11 @@ func TestEnvelopeSynopsisRoundTrip(t *testing.T) {
 		Payload:       []byte{0xAA},
 	}
 	buf := AppendEnvelope(nil, e)
+	// Header (version 1, NC flag, kind 2), From, the length-prefixed sketch,
+	// the NC count, zigzag TopNC and MinNC, then the payload.
+	if want := []byte{0x16, 3, 4, 1, 2, 3, 4, 3, 18, 8, 0, 1, 0xAA}; !bytes.Equal(buf, want) {
+		t.Fatalf("synopsis frame % x, want % x", buf, want)
+	}
 	got, err := DecodeEnvelope(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -170,45 +169,53 @@ func TestEnvelopeSynopsisRoundTrip(t *testing.T) {
 		!bytes.Equal(got.ContribSketch, e.ContribSketch) || !bytes.Equal(got.Payload, e.Payload) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	// Without NC stats the frame is shorter.
-	e2 := &Envelope{Kind: KindSynopsis, Epoch: 7, From: 3, ContribSketch: []byte{1}, Payload: []byte{2}}
-	if len(AppendEnvelope(nil, e2)) >= len(buf) {
-		t.Fatal("NCValid=false must not pay for NC fields")
+	// Without NC stats the flag is clear and the frame carries no NC bytes.
+	e2 := &Envelope{Kind: KindSynopsis, From: 3, ContribSketch: []byte{1}, Payload: []byte{2}}
+	if got, want := AppendEnvelope(nil, e2), []byte{0x12, 3, 1, 1, 2}; !bytes.Equal(got, want) {
+		t.Fatalf("NC-free synopsis frame % x, want % x", got, want)
 	}
 }
 
+// TestEnvelopeRejectsBadFrames pins what the envelope decoder refuses: a cut
+// anywhere before the payload, and every non-canonical header or varint.
+// The payload runs to the end of the frame, so a cut inside it or a trailing
+// byte reaches the payload codec, which rejects it (the runner package's
+// TestPayloadCodecsRejectDamagedFrames).
 func TestEnvelopeRejectsBadFrames(t *testing.T) {
-	good := AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 1, From: 2, Contrib: 3})
-	// Truncations at every length must error, not panic.
-	for i := 0; i < len(good); i++ {
+	good := AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 2, Contrib: 3, Payload: []byte{7}})
+	payloadAt := len(good) - 1
+	for i := 0; i < payloadAt; i++ {
 		if _, err := DecodeEnvelope(good[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
-	// Trailing garbage.
-	if _, err := DecodeEnvelope(append(append([]byte{}, good...), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	for _, frame := range [][]byte{good[:payloadAt], append(append([]byte{}, good...), 0)} {
+		e, err := DecodeEnvelope(frame)
+		if err != nil || !bytes.Equal(e.Payload, frame[payloadAt:]) {
+			t.Fatalf("% x: payload %x (%v), want the frame's tail", frame, e.Payload, err)
+		}
 	}
-	// Wrong version.
-	bad := append([]byte{}, good...)
-	bad[0] = 99
-	if _, err := DecodeEnvelope(bad); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	// Unknown kind.
-	bad = append([]byte{}, good...)
-	bad[1] = 9
-	if _, err := DecodeEnvelope(bad); err == nil {
-		t.Fatal("bad kind accepted")
-	}
-	// Epoch/From beyond uint32 must be rejected, not silently truncated.
-	over := []byte{Version, byte(KindTree)}
-	over = AppendUvarint(over, 1<<32) // epoch out of range
-	over = AppendUvarint(over, 2)
-	over = AppendVarint(over, 3)
-	over = AppendBytes(over, nil)
-	if _, err := DecodeEnvelope(over); err != ErrMalformed {
-		t.Fatalf("oversized epoch: %v", err)
+	over := AppendVarint(AppendUvarint([]byte{0x11}, 1<<32), 3)
+	hostile := AppendUvarint([]byte{0x16, 2, 1, 5}, 1<<40)
+	for name, frame := range map[string][]byte{
+		"version 0":                 {0x01, 2, 6},
+		"version 2":                 {0x21, 2, 6},
+		"reserved bit":              {0x19, 2, 6},
+		"kind 0":                    {0x10, 2, 6},
+		"kind 3":                    {0x13, 2, 6},
+		"NC flag on a tree frame":   {0x15, 2, 6},
+		"From beyond uint32":        over,
+		"non-minimal From":          {0x11, 0x82, 0x00, 6},
+		"non-minimal Contrib":       {0x11, 2, 0x86, 0x00},
+		"non-minimal sketch length": {0x12, 2, 0x81, 0x00, 5},
+		"non-minimal NC count":      {0x16, 2, 1, 5, 0x81, 0x00, 2, 2},
+		"non-minimal TopNC":         {0x16, 2, 1, 5, 1, 0x82, 0x00, 2},
+		"non-minimal MinNC":         {0x16, 2, 1, 5, 1, 2, 0x82, 0x00},
+		"hostile NC count":          hostile,
+	} {
+		if _, err := DecodeEnvelope(frame); err != ErrMalformed {
+			t.Errorf("%s (% x): %v, want ErrMalformed", name, frame, err)
+		}
 	}
 }
 
@@ -238,17 +245,19 @@ func FuzzFloat64RoundTrip(f *testing.F) {
 }
 
 func FuzzDecodeEnvelope(f *testing.F) {
-	f.Add(AppendEnvelope(nil, &Envelope{Kind: KindTree, Epoch: 3, From: 4, Contrib: 5, Payload: []byte{1}}))
-	f.Add(AppendEnvelope(nil, &Envelope{Kind: KindSynopsis, Epoch: 3, From: 4,
+	f.Add(AppendEnvelope(nil, &Envelope{Kind: KindTree, From: 4, Contrib: 5, Payload: []byte{1}}))
+	f.Add(AppendEnvelope(nil, &Envelope{Kind: KindSynopsis, From: 4,
 		ContribSketch: []byte{1, 2}, NCValid: true, TopNC: []int{4, 2}, MinNC: 2, Payload: []byte{1}}))
+	f.Add(AppendEnvelope(nil, &Envelope{Kind: KindSynopsis, From: 600, ContribSketch: []byte{0}}))
+	f.Add([]byte{0x11, 0x82, 0x00, 6}) // non-minimal From
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data) // must never panic or over-allocate
 		if err != nil {
 			return
 		}
-		// Valid frames must re-encode to the identical bytes (canonical form).
-		if !bytes.Equal(AppendEnvelope(nil, &e), data) {
-			t.Skip("non-canonical varint forms are accepted but not re-emitted")
+		// The decoder is canonical: whatever it accepts re-encodes to itself.
+		if got := AppendEnvelope(nil, &e); !bytes.Equal(got, data) {
+			t.Fatalf("accepted % x re-encodes to % x", data, got)
 		}
 	})
 }
