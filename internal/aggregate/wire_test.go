@@ -108,7 +108,8 @@ func TestCodecsRejectGarbage(t *testing.T) {
 // FM sketch bit-packed to the width its widest bitmap needs — for the
 // paper's 600-sensor field nine bits per bitmap plus the width header, 46
 // bytes, under §7.1's lossy 48-byte packing and a quarter of the raw
-// one-word-per-bitmap vector — and never more than the 1+4K-byte ceiling.
+// one-word-per-bitmap vector — or, when that is shorter, its set bits
+// gap-coded, and never more than the 1+4K-byte ceiling.
 func TestPaperMessageCosts(t *testing.T) {
 	count := NewCount(9)
 	for _, c := range []int64{1, 57, 600, 100_000} {
@@ -129,9 +130,11 @@ func TestPaperMessageCosts(t *testing.T) {
 	if w := SynopsisWords[struct{}, int64, *sketch.Sketch, float64](count, syn); w != 12 {
 		t.Fatalf("Count synopsis costs %d words, want 12", w)
 	}
-	// One reading sets one bit at level 0 of one bitmap: one bit per bitmap.
-	if n := len(count.AppendSynopsis(nil, count.Convert(0, 1, 1))); n != 1+count.K/8 {
-		t.Fatalf("single-reading Count synopsis costs %d bytes, want 1+k/8=%d", n, 1+count.K/8)
+	// One reading sets one bit at level 0 of one bitmap. Dense, that is one
+	// bit per bitmap (1+k/8 = 6 bytes); the sparse form sends the header
+	// 0x40|1, the set-bit count 1 and the bit's one-byte offset.
+	if one := count.AppendSynopsis(nil, count.Convert(0, 1, 1)); len(one) != 3 || one[0] != 0x41 || one[1] != 1 {
+		t.Fatalf("single-reading Count synopsis is %x, want 3 bytes: header 0x41, one set bit", one)
 	}
 
 	sum := NewSum(10)
@@ -200,8 +203,9 @@ func TestSketchSynopsisRejectsNonCanonical(t *testing.T) {
 		}
 		// An empty sketch is the one byte 0. Spelled as k explicit 1-bit
 		// zero fields, under a width header above 32 with the bytes to back
-		// it, or with a nonzero padding bit, the first sketch must fail the
-		// message even though what follows it is intact.
+		// it, with a nonzero padding bit, as a sparse form with no set bits
+		// or under the first header past the sparse ones, the first sketch
+		// must fail the message even though what follows it is intact.
 		first := tc.valid[:1+(tc.k*int(tc.valid[0])+7)/8]
 		rest := tc.valid[len(first):]
 		if err := tc.decode(append([]byte{0}, rest...)); err != nil {
@@ -217,6 +221,8 @@ func TestSketchSynopsisRejectsNonCanonical(t *testing.T) {
 			"non-minimal width": append([]byte{1}, make([]byte, (tc.k+7)/8)...),
 			"width header 33":   append([]byte{33}, make([]byte, (33*tc.k+7)/8)...),
 			"nonzero padding":   padded,
+			"no set bits":       {0x41, 0},
+			"header 0x61":       {0x61, 1, 0},
 		} {
 			if tc.decode(append(first, rest...)) == nil {
 				t.Errorf("%s: first sketch with %s accepted", tc.name, name)

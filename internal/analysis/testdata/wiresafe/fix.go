@@ -22,9 +22,9 @@ func DecodeHeader(data []byte) (byte, []byte) {
 // DecodeCount reproduces the canonicality bug class fixed in the varint
 // hardening pass: binary.Uvarint accepts non-minimal encodings, so two
 // distinct byte strings decode to the same value and break canonical
-// re-encoding checks.
+// re-encoding checks. The diagnostic names the readers that reject them.
 func DecodeCount(data []byte) uint64 {
-	v, _ := binary.Uvarint(data) // want "binary\.Uvarint accepts non-minimal varint encodings"
+	v, _ := binary.Uvarint(data) // want "binary\.Uvarint accepts non-minimal varint encodings .*; use wire\.Reader\.MinimalUvarint/MinimalVarint"
 	return v
 }
 
@@ -43,11 +43,11 @@ func AppendCount(dst []byte, v uint64) []byte {
 	return wire.AppendUvarint(dst, v)
 }
 
-// DecodeSafe drains the frame through the sticky-error reader; no raw
-// access, nothing reported.
+// DecodeSafe drains the frame through the sticky-error reader's minimal
+// varint reader; no raw access, nothing reported.
 func DecodeSafe(data []byte) (uint64, error) {
 	r := wire.NewReader(data)
-	v := r.Uvarint()
+	v := r.MinimalUvarint()
 	return v, r.Err()
 }
 

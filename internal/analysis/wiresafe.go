@@ -20,7 +20,8 @@ import (
 //     are exempt — they ARE the guard);
 //   - encoding/binary varint decoding (binary.Uvarint and friends accept
 //     non-minimal encodings, the canonicality bug class PR 7's fuzzing
-//     shook out of the datagram path; wire.Reader.Uvarint rejects them).
+//     shook out of the datagram path; wire.Reader.MinimalUvarint and
+//     MinimalVarint reject them — plain Uvarint/Varint do not).
 //
 // Repo-wide it also requires every Append* codec that takes a []byte buffer
 // to return a []byte — append-style encoders that mutate in place and drop
@@ -56,7 +57,7 @@ func runWireSafe(pass *framework.Pass) (any, error) {
 				case *ast.CallExpr:
 					callee := calleeFunc(pass.TypesInfo, n)
 					if calleePkgPath(callee) == "encoding/binary" && strings.Contains(strings.ToLower(callee.Name()), "varint") {
-						pass.Reportf(n.Pos(), "binary.%s accepts non-minimal varint encodings (canonicality bug class); use wire.Reader.Uvarint/Varint", callee.Name())
+						pass.Reportf(n.Pos(), "binary.%s accepts non-minimal varint encodings (canonicality bug class); use wire.Reader.MinimalUvarint/MinimalVarint", callee.Name())
 					}
 				}
 				return true

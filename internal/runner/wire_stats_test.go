@@ -37,14 +37,16 @@ func TestByteAccountingTree(t *testing.T) {
 }
 
 // TestByteAccountingMultipath pins the delta side: a broadcast frame
-// carries the synopsis sketch and the contributing-Count sketch, each
-// bit-packed (a width header plus ⌈K·b/8⌉ bytes, where a 300-node field
-// needs 1 to 10 bits per bitmap: a bit at position 10 takes a count near
-// 2^10·K), plus at most 4 bytes of framing: the header byte, a sender id
-// below 2^14 and the contributing sketch's length byte (SD frames carry no
-// §4.2 statistics). A leaf's frame is the small end, the base station's
-// neighbours' the large one; the raw encoding's 8K bytes is never
-// approached.
+// carries the synopsis sketch and the contributing-Count sketch, plus 3 or 4
+// bytes of framing: the header byte, a sender id below 2^14 and the
+// contributing sketch's length byte (SD frames carry no §4.2 statistics). A
+// sketch is at most its dense form, a width header plus ⌈K·b/8⌉ bytes, where
+// a 300-node field needs up to 10 bits per bitmap (a bit at position 10
+// takes a count near 2^10·K); a nearly empty one is gap-coded instead, and
+// one set bit takes 3 bytes: header, count, offset. A leaf's frame — one
+// reading in each sketch, a one-byte sender id — is the small end at 9
+// bytes, the base station's neighbours' the large one; the raw encoding's
+// 8K bytes is never approached.
 func TestByteAccountingMultipath(t *testing.T) {
 	f := newFixture(32, 300)
 	r := countRunner(t, f, ModeMultipath, network.Global{P: 0}, 32)
@@ -52,7 +54,7 @@ func TestByteAccountingMultipath(t *testing.T) {
 	const k = 40 // aggregate.DefaultSketchK and the default ContribK
 	const framing = 4
 	sketchBytes := func(b int) int64 { return int64(1 + (k*b+7)/8) }
-	minBytes := 2 * sketchBytes(1)
+	const minBytes = 3 + 2*3 // header, sender, length byte; two one-bit sketches
 	maxBytes := 2*sketchBytes(10) + framing
 	var lo, hi int64 = 1 << 62, 0
 	for v := 1; v < f.g.N(); v++ {
@@ -66,11 +68,11 @@ func TestByteAccountingMultipath(t *testing.T) {
 		}
 		lo, hi = min(lo, b), max(hi, b)
 	}
-	// Both ends occur: one-bit fields at the leaves, sketches grown to 8 or
+	// Both ends occur: single set bits at the leaves, sketches grown to 8 or
 	// more bits per bitmap where hundreds of readings have been fused.
-	if lo > minBytes+framing || hi < 2*sketchBytes(8) {
-		t.Fatalf("synopsis frames span %d..%d bytes, want both ends (<= %d and >= %d)",
-			lo, hi, minBytes+framing, 2*sketchBytes(8))
+	if lo != minBytes || hi < 2*sketchBytes(8) {
+		t.Fatalf("synopsis frames span %d..%d bytes, want both ends (%d and >= %d)",
+			lo, hi, minBytes, 2*sketchBytes(8))
 	}
 }
 

@@ -100,20 +100,18 @@ func ReadWire(r *wire.Reader, seed uint64, memo *RankMemo, k int) (*Sample, erro
 	return s, nil
 }
 
-// The ways a sample encoding can be well-formed bytes and still malformed.
-var (
-	errNonMinimal = fmt.Errorf("sample: non-minimal varint: %w", wire.ErrMalformed)
-	errRankOrder  = fmt.Errorf("sample: ranks out of order: %w", wire.ErrMalformed)
-)
+// errRankOrder reports an encoding whose ranks do not ascend strictly.
+var errRankOrder = fmt.Errorf("sample: ranks out of order: %w", wire.ErrMalformed)
 
 // ReadWireInto is ReadWire decoding into a recycled sample: dst is fully
 // overwritten, and nothing allocates once its backing array has reached the
 // decoded length (and memo holds the epoch's table). The sample's capacity k
-// comes from dst.
+// comes from dst. Every varint is read through the reader's minimal-form
+// readers, so whatever is accepted re-encodes to the very same bytes; a float
+// travels as the uvarint of its byte-reversed bit pattern
+// (wire.AppendFloat64), so it is read that way too.
 func ReadWireInto(r *wire.Reader, seed uint64, memo *RankMemo, dst *Sample) error {
-	before := r.Remaining()
-	n := r.Count(2) // node(>=1) + value(>=1)
-	requireMinimal(r, before, uint64(n))
+	n := r.MinimalCount(2) // node(>=1) + value(>=1)
 	if r.Err() == nil && n > dst.k {
 		return fmt.Errorf("sample: %d items exceed capacity %d: %w", n, dst.k, wire.ErrMalformed)
 	}
@@ -121,12 +119,12 @@ func ReadWireInto(r *wire.Reader, seed uint64, memo *RankMemo, dst *Sample) erro
 	if n == 0 {
 		return r.Err()
 	}
-	epoch := minimalUvarint(r)
+	epoch := r.MinimalUvarint()
 	ranks := memo.ranks(seed, epoch)
 	var prev uint64
 	for i := 0; i < n; i++ {
-		node := minimalUvarint(r)
-		value := math.Float64frombits(bits.ReverseBytes64(minimalUvarint(r)))
+		node := r.MinimalUvarint()
+		value := math.Float64frombits(bits.ReverseBytes64(r.MinimalUvarint()))
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -144,24 +142,4 @@ func ReadWireInto(r *wire.Reader, seed uint64, memo *RankMemo, dst *Sample) erro
 	}
 	dst.epoch = epoch
 	return nil
-}
-
-// minimalUvarint reads a uvarint and fails the reader on a non-minimal
-// encoding, so that whatever ReadWireInto accepts re-encodes to the very
-// same bytes. A float travels as the uvarint of its byte-reversed bit
-// pattern (wire.AppendFloat64), so it is read here too.
-func minimalUvarint(r *wire.Reader) uint64 {
-	before := r.Remaining()
-	v := r.Uvarint()
-	requireMinimal(r, before, v)
-	return v
-}
-
-// requireMinimal fails r if v, a uvarint just read starting when before
-// bytes remained, spent more bytes than it needs (a redundant zero final
-// group).
-func requireMinimal(r *wire.Reader, before int, v uint64) {
-	if l := before - r.Remaining(); r.Err() == nil && l > 1 && v>>(7*uint(l-1)) == 0 {
-		r.Fail(errNonMinimal)
-	}
 }

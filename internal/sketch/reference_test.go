@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"tributarydelta/internal/xrand"
@@ -103,8 +104,8 @@ func decodeCompactReference(data []byte, k int) (*Sketch, error) {
 
 // appendWireRawReference and decodeWireRawReference are the pre-trimming wire
 // codec — every bitmap a fixed little-endian 32-bit word, 4K bytes — kept as
-// the reference the bit-packed AppendWire/LoadWire are differentially tested
-// against: both must reconstruct the identical sketch.
+// the reference the dense/sparse AppendWire/LoadWire are differentially
+// tested against: both must reconstruct the identical sketch.
 func appendWireRawReference(dst []byte, s *Sketch) []byte {
 	for m := 0; m < s.K(); m++ {
 		dst = binary.LittleEndian.AppendUint32(dst, s.bitmap(m))
@@ -120,11 +121,12 @@ func decodeWireRawReference(data []byte, k int) *Sketch {
 	return s
 }
 
-// appendWireBitsReference is the bit-packed wire encoding written one bit at
-// a time with an explicit field width b: the header byte, then every bitmap's
-// low b bits LSB-first into a zero-padded byte stream. With b the minimal
-// width it must equal AppendWire byte for byte; with a wider b it builds the
-// non-canonical encodings the decoder has to refuse.
+// appendWireBitsReference is the dense wire form written one bit at a time
+// with an explicit field width b: the header byte, then every bitmap's low b
+// bits LSB-first into a zero-padded byte stream. With b the minimal width it
+// must equal AppendWire byte for byte whenever the sparse form is not
+// shorter; with a wider b, or for a sketch whose sparse form is shorter, it
+// builds the non-canonical encodings the decoder has to refuse.
 func appendWireBitsReference(dst []byte, s *Sketch, b int) []byte {
 	dst = append(dst, byte(b))
 	body := make([]byte, (s.K()*b+7)/8)
@@ -138,6 +140,47 @@ func appendWireBitsReference(dst []byte, s *Sketch, b int) []byte {
 		}
 	}
 	return append(dst, body...)
+}
+
+// appendWireSparseReference is the sparse wire form built from the same bit
+// stream one bit at a time: the header 0x40|b, the number of set bits, then
+// each set bit's stream offset m·b+i as its distance from the previous
+// offset less 1 (the first from −1), all as uvarints. Any b ≥ 1 works, so a
+// wider b builds a non-canonical encoding.
+func appendWireSparseReference(dst []byte, s *Sketch, b int) []byte {
+	var offs []int
+	for m := 0; m < s.K(); m++ {
+		for i := 0; i < b; i++ {
+			if s.bitmap(m)>>uint(i)&1 == 1 {
+				offs = append(offs, m*b+i)
+			}
+		}
+	}
+	dst = append(dst, 0x40|byte(b))
+	dst = binary.AppendUvarint(dst, uint64(len(offs)))
+	prev := -1
+	for _, o := range offs {
+		dst = binary.AppendUvarint(dst, uint64(o-prev-1))
+		prev = o
+	}
+	return dst
+}
+
+// appendWireReference is the canonical wire encoding by brute force: the
+// minimal width found bitmap by bitmap, both forms built bit at a time, and
+// the sparse one kept only when it is strictly shorter.
+func appendWireReference(dst []byte, s *Sketch) []byte {
+	b := 0
+	for m := 0; m < s.K(); m++ {
+		b = max(b, bits.Len32(s.bitmap(m)))
+	}
+	enc := appendWireBitsReference(nil, s, b)
+	if b > 0 {
+		if sparse := appendWireSparseReference(nil, s, b); len(sparse) < len(enc) {
+			enc = sparse
+		}
+	}
+	return append(dst, enc...)
 }
 
 type refError string

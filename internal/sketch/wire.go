@@ -11,36 +11,50 @@ import (
 
 // Wire codec.
 //
-// The wire encoding of a sketch is self-delimiting and bit-packed: one header
-// byte b ∈ {0..32} — the number of bits the widest bitmap needs,
-// bits.Len32(OR of all bitmaps) — then the K bitmaps as consecutive b-bit
-// fields in a little-endian bit stream (bitmap 0 in the low bits of the first
-// byte), zero-padded to a whole byte: 1+⌈K·b/8⌉ bytes in all. FM bitmaps fill
-// from bit 0 upward and a field of n sensors almost never sets a bit above
-// log2(n)+a few, so everything above the widest bitmap's top bit is dead
-// weight on the radio: a leaf's Count synopsis needs 1 bit per bitmap, the
-// count of a whole 600-sensor field 9, and an empty sketch is the single
-// byte 0. It is the lossless
+// The wire encoding of a sketch is self-delimiting and lossless, in one of
+// two forms over the same bit stream: the K bitmaps as consecutive b-bit
+// fields, little-endian (bitmap 0 in the low bits of the first byte), where
+// b ∈ {0..32} is the number of bits the widest bitmap needs,
+// bits.Len32(OR of all bitmaps). FM bitmaps fill from bit 0 upward and a field
+// of n sensors almost never sets a bit above log2(n)+a few, so everything
+// above the widest bitmap's top bit is dead weight on the radio.
+//
+//   - Dense: the header byte b, then the stream zero-padded to a whole byte:
+//     1+⌈K·b/8⌉ bytes. The count of a whole 600-sensor field takes 9 bits per
+//     bitmap, and an empty sketch is the single byte 0.
+//   - Sparse: the header byte 0x40|b (b ≥ 1), a uvarint n ≥ 1 — the number
+//     of set bits — and n uvarint gaps: the stream offsets m·b+bit of the set
+//     bits in ascending order, each sent as its distance from the previous
+//     one less 1 (the first from −1). It is the run-length code of the dense
+//     stream, and most sketches a field ships are nearly empty: a single
+//     reading's Count synopsis is 3 bytes where the dense form needs 6.
+//
+// The encoder emits the sparse form exactly when it is strictly shorter, so
+// no encoding exceeds the dense ceiling 1+4K (WireBytes). It is the lossless
 // counterpart of the paper's §7.1 packing (40 bitmaps run-length-packed into
 // one 48-byte TinyDB message): unlike EncodeCompact, which drops bits above
 // the fringe window and is kept for those TinyDB experiments, the wire codec
 // is what the runner actually transmits, so the decoded sketch is
 // bit-identical to the sender's.
 //
-// The encoding is canonical — b is always the minimal width and the padding
-// bits are zero, and the decoder rejects anything else — so equal sketches
-// encode to equal bytes. The encoder streams each packed word (a pair of
-// bitmaps) as one 2b-bit field through a 64-bit accumulator that spills eight
-// bytes at a time; the decoder reads fields straight from their bit offsets
-// with clamped unaligned loads, four field pairs per load when b ≤ 8 (eight
-// bitmaps then fill exactly b bytes). Against the byte-aligned fields it
-// replaced, on K = 40 sketches of the widths a 600-sensor field produces,
-// in random order (BenchmarkWireMixed, 2-vCPU AMD EPYC): encode 24 → 29 ns,
-// decode 20 → 31 ns per sketch. They buy 39 % of a 600-sensor TD Count
-// epoch's radio bytes (46 384 → 28 308 B).
+// The encoding is canonical — the form is the shorter one, b is the minimal
+// width, varints are minimal, offsets lie inside the K·b-bit stream and the
+// padding bits are zero; the decoder rejects anything else, and any other
+// header byte — so equal sketches encode to equal bytes. The dense encoder
+// streams each packed word (a pair of bitmaps) as one 2b-bit field through a
+// 64-bit accumulator that spills eight bytes at a time; the dense decoder
+// reads fields straight from their bit offsets with clamped unaligned loads,
+// four field pairs per load when b ≤ 8 (eight bitmaps then fill exactly b
+// bytes). The sparse encoder walks a mask of the nonzero words, taking each
+// word's set bits from its 2b-bit field, and gives up as soon as the gaps
+// outgrow the dense form; the sparse decoder reads one-byte gaps in place
+// and maps an offset to its bitmap by a reciprocal multiply.
 //
 // The bitmap count is carried by context (the aggregate's configuration),
 // not the message, exactly as a fixed deployment-wide query plan would.
+
+// sparseHeader flags the sparse form: its header byte is sparseHeader|b.
+const sparseHeader = 0x40
 
 // WireBytes returns the maximum encoded size of a k-bitmap sketch in bytes:
 // the header plus k full 32-bit fields. Encodings are usually shorter; use it
@@ -59,21 +73,41 @@ func fieldBits(or uint64) uint {
 // packedBytes is the body length of k b-bit fields.
 func packedBytes(k int, b uint) int { return int((uint(k)*b + 7) / 8) }
 
-// AppendWire appends the lossless wire encoding of the sketch to dst: one OR
-// pass over the packed words picks the width b, then the bitmaps stream out
-// as b-bit fields. This is the runner's per-broadcast hot path; the packing
-// loop lives here rather than in a helper because the call is a measurable
-// share of the encode (it cost ≈2 ns of 31).
+// sparseFloor is the length of a sparse form of n set bits whose gaps all
+// take one byte — no sparse form of n set bits is shorter.
+func sparseFloor(n int) int { return 1 + wire.UvarintLen(uint64(n)) + n }
+
+// pairField joins packed word x's two bitmaps into their 2b-bit field of the
+// dense stream: the low bitmap's b bits, then the high one's.
+func pairField(x uint64, b uint) uint64 {
+	return x&(1<<BitmapBits-1) | x>>BitmapBits<<(b&63)
+}
+
+// AppendWire appends the lossless wire encoding of the sketch to dst: one
+// pass over the packed words picks the width b and counts the set bits; a
+// sketch whose sparse form would be shorter if every gap took one byte tries
+// that form, and the rest — and every sparse attempt that does not come out
+// shorter — stream out as b-bit fields. This is the runner's per-broadcast
+// hot path; the packing loop lives here rather than in a helper because the
+// call is a measurable share of the encode (it cost ≈2 ns of 31).
 //
 //td:hotpath
 func (s *Sketch) AppendWire(dst []byte) []byte {
-	var or uint64
-	for _, x := range s.words {
+	var or, nz uint64
+	set := 0
+	for i, x := range s.words {
 		or |= x
+		set += bits.OnesCount64(x)
+		nz |= nonzero(x) << uint(i&63) // exact for up to 64 words
 	}
 	b := fieldBits(or)
 	off, n := len(dst), 1+packedBytes(s.k, b)
 	dst = slices.Grow(dst, n)[:off+n]
+	if sparseFloor(set) < n {
+		if m := s.putSparse(dst[off:off+n], b, set, nz); m > 0 {
+			return dst[:off+m]
+		}
+	}
 	dst[off] = byte(b)
 	if b == 0 {
 		return dst
@@ -88,7 +122,7 @@ func (s *Sketch) AppendWire(dst []byte) []byte {
 	var acc uint64 // pending stream bits, lowest first
 	var m uint     // how many; always < 64
 	for _, x := range s.words[:s.k>>1] {
-		v := x&(1<<BitmapBits-1) | x>>BitmapBits<<(b&63)
+		v := pairField(x, b)
 		acc |= v << (m & 63)
 		if m += w; m >= 64 {
 			binary.LittleEndian.PutUint64(body, acc)
@@ -114,6 +148,95 @@ func (s *Sketch) AppendWire(dst []byte) []byte {
 	return dst
 }
 
+// putSparse writes the sparse form of the sketch — width b, n set bits — to
+// out, which has the dense form's length, and returns its length, or 0 if it
+// is not shorter than the dense form. AppendWire has checked that it is when
+// every gap takes one byte; slack is the room left for longer gaps. The set
+// bits are taken in stream order from a mask of the nonzero words — nz,
+// AppendWire's, when there are at most 64 words — and each word's bits from
+// its 2b-bit field, so an offset is the field's plus a trailing-zero count.
+// Most nonzero words of a sparse sketch hold one or two set bits and follow
+// a short gap: those store both gap bytes without branching on the count,
+// and a lone bit's second byte is scratch that the next store overwrites —
+// or, at the very end, the dense form's last byte, which the sparse form
+// never reaches.
+//
+//td:hotpath
+func (s *Sketch) putSparse(out []byte, b uint, n int, nz uint64) int {
+	out[0] = sparseHeader | byte(b)
+	p := len(wire.AppendUvarint(out[:1], uint64(n)))
+	slack := len(out) - 1 - sparseFloor(n)
+	next := uint(0) // the offset just past the last set bit
+	for c := 0; c < len(s.words); c += 64 {
+		chunk := s.words[c:min(c+64, len(s.words))]
+		if len(s.words) > 64 {
+			nz = 0
+			for i, x := range chunk {
+				nz |= nonzero(x) << uint(i)
+			}
+		}
+		for ; nz != 0; nz &= nz - 1 {
+			i := bits.TrailingZeros64(nz)
+			at := uint(c+i) * 2 * b
+			v := pairField(chunk[i], b)
+			rest := v & (v - 1)
+			o1 := at + uint(bits.TrailingZeros64(v))
+			o2 := at + uint(bits.TrailingZeros64(rest)) // at+64 for a lone bit
+			if g := uint64(o1 - next); g < 0x80 && rest&(rest-1) == 0 {
+				two := nonzero(rest)
+				out[p], out[p+1] = byte(g), byte(o2-o1-1) // the second gap is below 2b ≤ 64
+				p += 1 + int(two)
+				next = o1 + 1 + uint(uint64(o2-o1)&-two)
+				continue
+			}
+			for ; v != 0; v &= v - 1 {
+				o := at + uint(bits.TrailingZeros64(v))
+				g := uint64(o - next)
+				next = o + 1
+				if g < 0x80 {
+					out[p] = byte(g)
+					p++
+					continue
+				}
+				if slack -= wire.UvarintLen(g) - 1; slack < 0 {
+					return 0
+				}
+				p = len(wire.AppendUvarint(out[:p], g))
+			}
+		}
+	}
+	return p
+}
+
+// nonzero returns 1 if x != 0 and 0 otherwise, without a branch.
+func nonzero(x uint64) uint64 { return (x | -x) >> 63 }
+
+// sparseLen returns the length of the sketch's sparse form at width b if it
+// is below limit, and limit otherwise — the decoder's check that a dense
+// form it accepts is the shorter one.
+//
+//td:hotpath
+func (s *Sketch) sparseLen(b uint, limit int) int {
+	set := 0
+	for _, x := range s.words {
+		set += bits.OnesCount64(x)
+	}
+	size := sparseFloor(set)
+	next := uint(0)
+	for i, x := range s.words {
+		if size >= limit {
+			return limit
+		}
+		at := uint(i) * 2 * b
+		for v := pairField(x, b); v != 0; v &= v - 1 {
+			o := at + uint(bits.TrailingZeros64(v))
+			size += wire.UvarintLen(uint64(o-next)) - 1 // sparseFloor counted one byte
+			next = o + 1
+		}
+	}
+	return min(size, limit)
+}
+
 // DecodeWire parses a sketch of k bitmaps from exactly the bytes AppendWire
 // produced for it.
 func DecodeWire(data []byte, k int) (*Sketch, error) {
@@ -130,9 +253,12 @@ func DecodeWire(data []byte, k int) (*Sketch, error) {
 
 // LoadWire overwrites s's bitmaps from data, which must be exactly one
 // canonical encoding of a K()-bitmap sketch — the allocation-free decode used
-// by pools that recycle sketches across messages. Anything else (truncated,
-// trailing bytes, a header above 32, a width wider than the bitmaps need,
-// nonzero padding) is an error, and s's contents are then unspecified.
+// by pools that recycle sketches across messages. The accepted header bytes
+// are 0..32 (dense) and 0x41..0x60 (sparse). Anything else (truncated,
+// trailing bytes, any other header, a width wider than the bitmaps need,
+// nonzero padding, a sparse form with no set bits, an offset past the K·b-bit
+// stream or a non-minimal varint, and whichever form is not the shorter one)
+// is an error, and s's contents are then unspecified.
 //
 //td:hotpath
 func (s *Sketch) LoadWire(data []byte) error {
@@ -143,9 +269,13 @@ func (s *Sketch) LoadWire(data []byte) error {
 
 // The ways an encoding of the right length can still be non-canonical.
 var (
-	errWidthHeader = fmt.Errorf("sketch: width header above %d: %w", BitmapBits, wire.ErrMalformed)
+	errHeader      = fmt.Errorf("sketch: header is neither a width 0..%d nor %#x|1..%d: %w", BitmapBits, sparseHeader, BitmapBits, wire.ErrMalformed)
 	errNotMinimal  = fmt.Errorf("sketch: field width is not minimal: %w", wire.ErrMalformed)
 	errPadding     = fmt.Errorf("sketch: nonzero padding bits: %w", wire.ErrMalformed)
+	errNoSetBits   = fmt.Errorf("sketch: sparse form with no set bits: %w", wire.ErrMalformed)
+	errOffset      = fmt.Errorf("sketch: sparse offset past the bitmaps: %w", wire.ErrMalformed)
+	errNotShorter  = fmt.Errorf("sketch: sparse form not shorter than the dense form: %w", wire.ErrMalformed)
+	errSparseFirst = fmt.Errorf("sketch: dense form longer than the sparse form: %w", wire.ErrMalformed)
 )
 
 // window returns body's bit stream from bit p on, lowest first, through one
@@ -164,7 +294,8 @@ func window(body []byte, last, p uint) uint64 {
 // bytes of b-bit fields with b ≤ 32 (ReadWireInto has checked) — the mirror
 // image of AppendWire's packing loop. Fields are read straight from their
 // bit offsets, so no field waits on the one before it. It rejects nonzero
-// padding bits and a b wider than the decoded bitmaps need.
+// padding bits, a b wider than the decoded bitmaps need and a sketch whose
+// sparse form is shorter.
 //
 //td:hotpath
 func (s *Sketch) unpackFields(b uint, body []byte) error {
@@ -225,6 +356,61 @@ func (s *Sketch) unpackFields(b uint, body []byte) error {
 	if fieldBits(or) != b {
 		return errNotMinimal
 	}
+	if dense := 1 + packedBytes(s.k, b); s.sparseLen(b, dense) < dense {
+		return errSparseFirst
+	}
+	return nil
+}
+
+// loadSparse overwrites s's bitmaps from the sparse form of width b ≤ 32
+// whose header r has just read, rejecting every spelling AppendWire would
+// not emit. One-byte gaps are read in place; longer ones, and a cut, go
+// through the reader. An offset o maps to its bitmap o/b as
+// hi((o+1)·⌊(2^64−1)/b⌋), exact for every o below 2^64/b.
+//
+//td:hotpath
+func (s *Sketch) loadSparse(r *wire.Reader, b uint) error {
+	left := r.Remaining()
+	n := r.MinimalCount(1) // every gap takes at least a byte
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n == 0 {
+		return errNoSetBits
+	}
+	clear(s.words)
+	end := uint64(s.k) * uint64(b) // the stream's length in bits
+	inv := ^uint64(0) / uint64(b)
+	var p, top uint64 // the offset just past the last set bit; OR of 1<<bit
+	in, i := r.Peek(), 0
+	for ; n > 0; n-- {
+		var g uint64
+		if i < len(in) && in[i] < 0x80 {
+			g = uint64(in[i])
+			i++
+		} else {
+			r.Take(i)
+			if g = r.MinimalUvarint(); r.Err() != nil {
+				return r.Err()
+			}
+			in, i = r.Peek(), 0
+		}
+		if g >= end-p {
+			return errOffset
+		}
+		p += g + 1
+		m, _ := bits.Mul64(p, inv)
+		bit := p - 1 - m*uint64(b)
+		top |= 1 << bit
+		s.words[m>>1] |= 1 << (bit + (m&1)*BitmapBits)
+	}
+	r.Take(i)
+	if bits.Len64(top) != int(b) {
+		return errNotMinimal
+	}
+	if 1+left-r.Remaining() >= 1+packedBytes(s.k, b) {
+		return errNotShorter
+	}
 	return nil
 }
 
@@ -239,18 +425,25 @@ func ReadWire(r *wire.Reader, k int) *Sketch {
 }
 
 // ReadWireInto is ReadWire decoding into a recycled sketch: dst is fully
-// overwritten (its contents are unspecified once the reader has failed).
+// overwritten (its contents are unspecified once the reader has failed). It
+// accepts a dense header 0..32 and a sparse header 0x41..0x60, and the
+// canonical encodings LoadWire lists.
 func ReadWireInto(r *wire.Reader, dst *Sketch) {
-	b := uint(r.Byte())
-	if b > BitmapBits {
-		r.Fail(errWidthHeader)
-		return
+	h := uint(r.Byte()) // 0, a dense empty sketch, if the reader has failed
+	var err error
+	switch b := h &^ sparseHeader; {
+	case h <= BitmapBits:
+		body := r.Take(packedBytes(dst.k, h))
+		if r.Err() != nil {
+			return
+		}
+		err = dst.unpackFields(h, body)
+	case h&sparseHeader != 0 && b-1 < BitmapBits:
+		err = dst.loadSparse(r, b)
+	default:
+		err = errHeader
 	}
-	body := r.Take(packedBytes(dst.k, b))
-	if r.Err() != nil {
-		return
-	}
-	if err := dst.unpackFields(b, body); err != nil {
+	if err != nil {
 		r.Fail(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"tributarydelta/internal/wire"
@@ -52,67 +53,138 @@ func TestWireRoundTripLossless(t *testing.T) {
 	}
 }
 
-// TestWireWidths is the codec's round-trip property over every field width
-// b = 0..32 and every packing shape (k = 1, odd, even, multi-word): the
-// encoding is exactly 1+⌈k·b/8⌉ bytes and byte-identical to the bit-at-a-time
-// reference packer, every decode entry point reconstructs the sketch bit for
-// bit — identically to the raw 4-bytes-per-bitmap reference codec — and
-// recycled decodes fully overwrite stale state.
+// streamOffsets returns the k·b offsets of a k-bitmap, width-b bit stream in
+// a seed-derived order whose first offset is bit b-1 of some bitmap, so
+// every prefix of it is a sketch of width exactly b.
+func streamOffsets(seed uint64, k, b int) []int {
+	offs := xrand.NewSource(seed, uint64(k), uint64(b)).Perm(k * b)
+	top := int(seed%uint64(k))*b + b - 1
+	for i, o := range offs {
+		if o == top {
+			offs[0], offs[i] = offs[i], offs[0]
+		}
+	}
+	return offs
+}
+
+// spreadOffsets is streamOffsets in an order whose early prefixes spread
+// out: bit b-1 of bitmap 0, then every 129th offset after it — gaps that
+// need two uvarint bytes — then the rest in ascending order.
+func spreadOffsets(k, b int) []int {
+	var offs, rest []int
+	for o := 0; o < k*b; o++ {
+		if o >= b-1 && (o-(b-1))%129 == 0 {
+			offs = append(offs, o)
+		} else {
+			rest = append(rest, o)
+		}
+	}
+	return append(offs, rest...)
+}
+
+// offsetSketch returns the k-bitmap sketch whose width-b stream has exactly
+// the given offsets set.
+func offsetSketch(k, b int, offs []int) *Sketch {
+	s := New(k)
+	for _, o := range offs {
+		s.setLevel(o/b, o%b)
+	}
+	return s
+}
+
+// checkWire pins the codec on one sketch: the encoding is byte-identical to
+// the bit-at-a-time reference (the shorter of the two forms, ties dense),
+// never longer than the dense form 1+⌈k·b/8⌉, every decode entry point
+// reconstructs the sketch bit for bit — identically to the raw
+// 4-bytes-per-bitmap reference codec — and recycled decodes fully overwrite
+// stale state. It returns the encoding.
+func checkWire(t *testing.T, s *Sketch, name string) []byte {
+	t.Helper()
+	k := s.K()
+	enc := s.AppendWire(nil)
+	if ref := appendWireReference(nil, s); !bytes.Equal(enc, ref) {
+		t.Fatalf("%s: AppendWire %x != bit-at-a-time reference %x", name, enc, ref)
+	}
+	b := int(enc[0] &^ sparseHeader)
+	if dense := 1 + (k*b+7)/8; len(enc) > dense || len(enc) > WireBytes(k) {
+		t.Fatalf("%s: %d bytes exceed the dense form's %d (ceiling %d)", name, len(enc), dense, WireBytes(k))
+	}
+	want := decodeWireRawReference(appendWireRawReference(nil, s), k)
+	if !sketchEqual(want, s) {
+		t.Fatal("raw reference codec is not lossless")
+	}
+	dec, err := DecodeWire(enc, k)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !sketchEqual(dec, want) {
+		t.Fatalf("%s: DecodeWire differs from the raw reference decode", name)
+	}
+	dirty := randomSketch(uint64(len(enc))+99, k)
+	if err := dirty.LoadWire(enc); err != nil {
+		t.Fatalf("%s: LoadWire: %v", name, err)
+	}
+	if !sketchEqual(dirty, want) {
+		t.Fatalf("%s: LoadWire left stale bits", name)
+	}
+	// Appended into a buffer whose spare capacity holds stale bytes: every
+	// byte must be written, not assumed zero.
+	stale := bytes.Repeat([]byte{0xFF}, 1+WireBytes(k))[:1]
+	if got := s.AppendWire(stale); !bytes.Equal(got[1:], enc) {
+		t.Fatalf("%s: stale capacity leaked into the encoding", name)
+	}
+	// Embedded between other fields, and appended after a prefix.
+	msg := s.AppendWire([]byte{0xAA})
+	msg = append(msg, 0xBB)
+	r := wire.NewReader(msg)
+	pre, emb, post := r.Byte(), ReadWire(r, k), r.Byte()
+	if err := r.Finish(); err != nil || pre != 0xAA || post != 0xBB {
+		t.Fatalf("%s: embedded read lost its place: %v", name, err)
+	}
+	if !sketchEqual(emb, want) {
+		t.Fatalf("%s: embedded read changed the sketch", name)
+	}
+	recycled := randomSketch(uint64(len(enc))+7, k)
+	r = wire.NewReader(msg[1:])
+	ReadWireInto(r, recycled)
+	if r.Byte() != 0xBB || r.Finish() != nil || !sketchEqual(recycled, want) {
+		t.Fatalf("%s: ReadWireInto into a dirty sketch: %v", name, r.Err())
+	}
+	return enc
+}
+
+// TestWireWidths is the codec's round-trip property (checkWire) over every
+// field width b = 0..32 and every packing shape (k = 1, odd, even,
+// multi-word, more than 64 words), on random bit patterns — dense almost
+// always — and on set-bit populations on both sides of the dense/sparse
+// crossover, with short gaps and with two-byte ones.
 func TestWireWidths(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8, 39, 40} {
 		for b := 0; b <= BitmapBits; b++ {
 			for seed := uint64(1); seed <= 20; seed++ {
-				s := widthSketch(seed, k, b)
-				enc := s.AppendWire(nil)
-				if len(enc) != 1+(k*b+7)/8 || int(enc[0]) != b {
-					t.Fatalf("k=%d b=%d: %d bytes with header %d, want %d bytes", k, b, len(enc), enc[0], 1+(k*b+7)/8)
-				}
-				if len(enc) > WireBytes(k) {
-					t.Fatalf("k=%d b=%d: %d bytes exceed the WireBytes bound %d", k, b, len(enc), WireBytes(k))
-				}
-				if ref := appendWireBitsReference(nil, s, b); !bytes.Equal(enc, ref) {
-					t.Fatalf("k=%d b=%d seed=%d: AppendWire %x != bit-at-a-time reference %x", k, b, seed, enc, ref)
-				}
-				want := decodeWireRawReference(appendWireRawReference(nil, s), k)
-				if !sketchEqual(want, s) {
-					t.Fatal("raw reference codec is not lossless")
-				}
-				dec, err := DecodeWire(enc, k)
-				if err != nil {
-					t.Fatalf("k=%d b=%d: %v", k, b, err)
-				}
-				if !sketchEqual(dec, want) {
-					t.Fatalf("k=%d b=%d seed=%d: DecodeWire differs from the raw reference decode", k, b, seed)
-				}
-				dirty := randomSketch(seed+99, k)
-				if err := dirty.LoadWire(enc); err != nil {
-					t.Fatalf("k=%d b=%d: LoadWire: %v", k, b, err)
-				}
-				if !sketchEqual(dirty, want) {
-					t.Fatalf("k=%d b=%d seed=%d: LoadWire left stale bits", k, b, seed)
-				}
-				// Appended into a buffer whose spare capacity holds stale
-				// bytes: every body byte must be written, not assumed zero.
-				stale := bytes.Repeat([]byte{0xFF}, 1+WireBytes(k))[:1]
-				if got := s.AppendWire(stale); !bytes.Equal(got[1:], enc) {
-					t.Fatalf("k=%d b=%d seed=%d: stale capacity leaked into the encoding", k, b, seed)
-				}
-				// Embedded between other fields, and appended after a prefix.
-				msg := s.AppendWire([]byte{0xAA})
-				msg = append(msg, 0xBB)
-				r := wire.NewReader(msg)
-				pre, emb, post := r.Byte(), ReadWire(r, k), r.Byte()
-				if err := r.Finish(); err != nil || pre != 0xAA || post != 0xBB {
-					t.Fatalf("k=%d b=%d: embedded read lost its place: %v", k, b, err)
-				}
-				if !sketchEqual(emb, want) {
-					t.Fatalf("k=%d b=%d: embedded read changed the sketch", k, b)
-				}
-				recycled := randomSketch(seed+7, k)
-				r = wire.NewReader(msg[1:])
-				ReadWireInto(r, recycled)
-				if r.Byte() != 0xBB || r.Finish() != nil || !sketchEqual(recycled, want) {
-					t.Fatalf("k=%d b=%d: ReadWireInto into a dirty sketch: %v", k, b, r.Err())
+				checkWire(t, widthSketch(seed, k, b), fmt.Sprintf("k=%d b=%d seed=%d", k, b, seed))
+			}
+		}
+	}
+	for _, k := range []int{1, 8, 40, 1000} {
+		for b := 1; b <= BitmapBits; b++ {
+			for order, offs := range [][]int{streamOffsets(uint64(k+b), k, b), spreadOffsets(k, b)} {
+				// Adding a set bit never shortens the sparse form and leaves
+				// the dense one alone, so the reference picks sparse for
+				// populations below some crossover and dense from it on.
+				cross := 1 + sort.Search(len(offs), func(i int) bool {
+					s := offsetSketch(k, b, offs[:i+1])
+					return len(appendWireSparseReference(nil, s, b)) >= len(appendWireBitsReference(nil, s, b))
+				})
+				for _, n := range []int{1, cross - 2, cross - 1, cross, cross + 1, len(offs)} {
+					if n < 1 || n > len(offs) {
+						continue
+					}
+					name := fmt.Sprintf("k=%d b=%d order %d n=%d (crossover %d)", k, b, order, n, cross)
+					enc := checkWire(t, offsetSketch(k, b, offs[:n]), name)
+					if sparse := enc[0]&sparseHeader != 0; sparse != (n < cross) {
+						t.Fatalf("%s: header %#x", name, enc[0])
+					}
 				}
 			}
 		}
@@ -173,6 +245,75 @@ func TestDecodeWireRejectsBadInput(t *testing.T) {
 	}
 }
 
+// wireCase is an encoding of a k-bitmap sketch.
+type wireCase struct {
+	name string
+	k    int
+	data []byte
+}
+
+// sparseRejects breaks each canonical rule of the sparse form once, around
+// the 7-bitmap sketch whose one set bit is bit 4 of bitmap 6 — stream offset
+// 34 of 35 at width 5, canonically the 3 bytes 45 01 22 against a 6-byte
+// dense form.
+func sparseRejects() []wireCase {
+	one := New(7)
+	one.setLevel(6, 4)
+	u64max := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	return []wireCase{
+		{"no set bits", 7, []byte{0x45, 0}},
+		{"offset at k·b", 7, []byte{0x45, 2, 4, 30}},    // offsets 4 and 35
+		{"offset past k·b", 7, []byte{0x45, 2, 4, 31}},  // offsets 4 and 36
+		{"first offset at k·b", 7, []byte{0x45, 1, 35}}, // width 1 besides
+		{"gap of 2^64-1", 7, append([]byte{0x45, 2, 0}, u64max...)},
+		{"non-minimal count", 7, []byte{0x45, 0x81, 0x00, 34}},
+		{"non-minimal gap", 7, []byte{0x45, 1, 0xa2, 0x00}},
+		{"non-minimal width", 7, appendWireSparseReference(nil, one, 6)},
+		{"sparse as long as dense", 16, []byte{0x41, 1, 0}},
+		{"sparse longer than dense", 7, []byte{0x41, 1, 0}},
+		{"dense longer than sparse", 7, appendWireBitsReference(nil, one, 5)},
+		{"empty", 7, []byte{}},
+		{"truncated count", 7, []byte{0x45}},
+		{"truncated gaps", 7, []byte{0x45, 2, 0}},
+		{"truncated gap", 7, []byte{0x45, 1, 0xa2}},
+		{"trailing byte", 7, []byte{0x45, 1, 34, 0}},
+		{"header 0x40", 7, []byte{0x40, 1, 0}},
+		{"header 0x61", 7, []byte{0x61, 1, 0}},
+		{"header 0xc5", 7, []byte{0xc5, 1, 34}},
+	}
+}
+
+// TestDecodeWireRejectsNonCanonicalSparse pins the sparse form's canonical
+// rules: every entry of sparseRejects is refused by both decoders, as
+// malformed or truncated, while the canonical spellings next to them —
+// including a tie, which goes to the dense form, and a two-byte gap — are
+// accepted.
+func TestDecodeWireRejectsNonCanonicalSparse(t *testing.T) {
+	for _, tc := range sparseRejects() {
+		if _, err := DecodeWire(tc.data, tc.k); err == nil {
+			t.Errorf("DecodeWire accepted %s", tc.name)
+		} else if !errors.Is(err, wire.ErrMalformed) && !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("%s: error %v is neither ErrMalformed nor ErrTruncated", tc.name, err)
+		}
+		if err := New(tc.k).LoadWire(tc.data); err == nil {
+			t.Errorf("LoadWire accepted %s", tc.name)
+		}
+	}
+	for _, tc := range []wireCase{
+		{"one set bit", 7, []byte{0x45, 1, 34}},
+		{"dense tie", 16, []byte{0x01, 0x01, 0x00}},
+		{"two-byte gap", 40, []byte{0x45, 2, 4, 0x91, 0x01}}, // offsets 4 and 150
+	} {
+		s, err := DecodeWire(tc.data, tc.k)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := s.AppendWire(nil); !bytes.Equal(got, tc.data) {
+			t.Fatalf("%s: re-encodes to %x", tc.name, got)
+		}
+	}
+}
+
 func TestReadWireEmbedded(t *testing.T) {
 	a, b := New(4), New(4)
 	a.Insert(1, 2)
@@ -209,6 +350,7 @@ func TestReadWireEmbedded(t *testing.T) {
 
 func FuzzDecodeWireSketch(f *testing.F) {
 	f.Add(New(8).AppendWire(nil), 8)
+	f.Add([]byte{0x45, 1, 34}, 7)
 	f.Fuzz(func(t *testing.T, data []byte, k int) {
 		if k <= 0 || k > 1<<12 {
 			return
@@ -232,6 +374,17 @@ func FuzzSketchLoadWire(f *testing.F) {
 	for _, b := range []int{0, 1, 3, 6, 8, 13, 31, 32} {
 		f.Add(widthSketch(5, 8, b).AppendWire(nil), 8)
 		f.Add(widthSketch(6, 5, b).AppendWire(nil), 5)
+	}
+	// Sparse encodings: a few set bits at k = 8 and 40, widths 1 to 32.
+	for _, k := range []int{8, 40} {
+		for _, b := range []int{1, 4, 9, 32} {
+			for _, n := range []int{1, 3, 7} {
+				f.Add(offsetSketch(k, b, streamOffsets(uint64(n), k, b)[:n]).AppendWire(nil), k)
+			}
+		}
+	}
+	for _, tc := range sparseRejects() {
+		f.Add(tc.data, tc.k)
 	}
 	f.Add([]byte{}, 1)
 	f.Fuzz(func(t *testing.T, data []byte, k int) {

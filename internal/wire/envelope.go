@@ -160,27 +160,24 @@ func (d *Decoder) Decode(data []byte) (Envelope, error) {
 		(e.Kind != KindTree && e.Kind != KindSynopsis) || (e.Kind == KindTree && e.NCValid) {
 		return Envelope{}, ErrMalformed
 	}
-	from := r.minimalUvarint()
+	from := r.MinimalUvarint()
 	if r.Err() == nil && from > math.MaxUint32 {
 		return Envelope{}, ErrMalformed
 	}
 	e.From = uint32(from)
 	if e.Kind == KindTree {
-		e.Contrib = r.minimalVarint()
+		e.Contrib = r.MinimalVarint()
 	} else {
-		e.ContribSketch = r.Take(int(r.minimalUvarint()))
+		e.ContribSketch = r.Take(int(r.MinimalUvarint()))
 		if e.NCValid {
-			start := r.off
-			n := r.Count(1)
-			r.requireMinimal(start, uint64(n))
-			if n > 0 {
+			if n := r.MinimalCount(1); n > 0 {
 				base := len(d.topNC)
 				for i := 0; i < n; i++ {
-					d.topNC = append(d.topNC, int(r.minimalVarint()))
+					d.topNC = append(d.topNC, int(r.MinimalVarint()))
 				}
 				e.TopNC = d.topNC[base:]
 			}
-			e.MinNC = int(r.minimalVarint())
+			e.MinNC = int(r.MinimalVarint())
 		}
 	}
 	e.Payload = r.Take(r.Remaining())
@@ -188,27 +185,4 @@ func (d *Decoder) Decode(data []byte) (Envelope, error) {
 		return Envelope{}, err
 	}
 	return e, nil
-}
-
-// requireMinimal fails r if the uvarint read from offset start, which decoded
-// to v, spent more bytes than v needs (a redundant zero final group) — so
-// that every accepted envelope re-encodes to the very bytes it came from.
-func (r *Reader) requireMinimal(start int, v uint64) {
-	if r.err == nil && r.off-start != UvarintLen(v) {
-		r.fail(ErrMalformed)
-	}
-}
-
-// minimalUvarint reads a uvarint and rejects a non-minimal encoding.
-func (r *Reader) minimalUvarint() uint64 {
-	start := r.off
-	v := r.Uvarint()
-	r.requireMinimal(start, v)
-	return v
-}
-
-// minimalVarint is minimalUvarint for a zigzag-encoded signed varint.
-func (r *Reader) minimalVarint() int64 {
-	u := r.minimalUvarint()
-	return int64(u>>1) ^ -int64(u&1)
 }

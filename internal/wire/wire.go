@@ -182,6 +182,25 @@ func (r *Reader) Varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
+// MinimalUvarint is Uvarint for canonical codecs: it also rejects, as
+// malformed, an encoding longer than the value needs (a redundant zero final
+// group), so that whatever a decoder built on it accepts re-encodes to the
+// very bytes it came from.
+func (r *Reader) MinimalUvarint() uint64 {
+	start := r.off
+	v := r.Uvarint()
+	if r.err == nil && r.off-start != UvarintLen(v) {
+		r.fail(ErrMalformed)
+	}
+	return v
+}
+
+// MinimalVarint is MinimalUvarint for a zigzag-encoded signed varint.
+func (r *Reader) MinimalVarint() int64 {
+	u := r.MinimalUvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
 // Float64 reads a float encoded by AppendFloat64.
 func (r *Reader) Float64() float64 {
 	return math.Float64frombits(bits.ReverseBytes64(r.Uvarint()))
@@ -192,6 +211,16 @@ func (r *Reader) Float64() float64 {
 func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
 	return r.Take(int(n))
+}
+
+// Peek returns the unread input without consuming it (nil once the reader has
+// failed) — for a codec that scans a run of short fields in place and then
+// Takes exactly the bytes it used.
+func (r *Reader) Peek() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.off:len(r.buf):len(r.buf)]
 }
 
 // Take reads exactly n raw bytes, aliasing the reader's input.
@@ -212,7 +241,16 @@ func (r *Reader) Take(n int) []byte {
 // actually remaining: each element needs at least minElemBytes bytes, so a
 // hostile length cannot force a huge allocation.
 func (r *Reader) Count(minElemBytes int) int {
-	n := r.Uvarint()
+	return r.count(r.Uvarint(), minElemBytes)
+}
+
+// MinimalCount is Count reading the count through MinimalUvarint.
+func (r *Reader) MinimalCount(minElemBytes int) int {
+	return r.count(r.MinimalUvarint(), minElemBytes)
+}
+
+// count validates an element count n just read.
+func (r *Reader) count(n uint64, minElemBytes int) int {
 	if r.err != nil {
 		return 0
 	}

@@ -25,6 +25,10 @@ func TestUvarintRoundTrip(t *testing.T) {
 		if got := r.Uvarint(); got != v || r.Finish() != nil {
 			t.Errorf("uvarint %d -> %d (err %v)", v, got, r.Err())
 		}
+		r = NewReader(buf)
+		if got := r.MinimalUvarint(); got != v || r.Finish() != nil {
+			t.Errorf("minimal uvarint %d -> %d (err %v)", v, got, r.Err())
+		}
 	}
 }
 
@@ -35,6 +39,10 @@ func TestVarintRoundTrip(t *testing.T) {
 		r := NewReader(buf)
 		if got := r.Varint(); got != v || r.Finish() != nil {
 			t.Errorf("varint %d -> %d (err %v)", v, got, r.Err())
+		}
+		r = NewReader(buf)
+		if got := r.MinimalVarint(); got != v || r.Finish() != nil {
+			t.Errorf("minimal varint %d -> %d (err %v)", v, got, r.Err())
 		}
 	}
 }
@@ -115,6 +123,40 @@ func TestReaderMalformed(t *testing.T) {
 	r.Count(1)
 	if r.Err() != ErrMalformed {
 		t.Fatalf("hostile count: %v", r.Err())
+	}
+	r = NewReader(append(AppendUvarint(nil, 1<<40), 0, 0))
+	r.MinimalCount(1)
+	if r.Err() != ErrMalformed {
+		t.Fatalf("hostile minimal count: %v", r.Err())
+	}
+	// A redundant zero final group: the plain readers take it, the minimal
+	// ones do not.
+	for _, enc := range [][]byte{{0x80, 0x00}, {0x85, 0x00}, {0x81, 0x80, 0x00}} {
+		r = NewReader(enc)
+		if r.Uvarint(); r.Finish() != nil {
+			t.Fatalf("Uvarint rejected %x: %v", enc, r.Err())
+		}
+		for name, read := range map[string]func(*Reader){
+			"MinimalUvarint": func(r *Reader) { r.MinimalUvarint() },
+			"MinimalVarint":  func(r *Reader) { r.MinimalVarint() },
+			"MinimalCount":   func(r *Reader) { r.MinimalCount(0) },
+		} {
+			r = NewReader(append(enc, make([]byte, 8)...))
+			if read(r); r.Err() != ErrMalformed {
+				t.Fatalf("%s on %x: %v, want ErrMalformed", name, enc, r.Err())
+			}
+		}
+	}
+}
+
+func TestReaderPeek(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	r.Byte()
+	if got := r.Peek(); !bytes.Equal(got, []byte{2, 3}) || r.Remaining() != 2 {
+		t.Fatalf("Peek = %x with %d remaining, want 0203 unconsumed", got, r.Remaining())
+	}
+	if r.Take(3); r.Peek() != nil {
+		t.Fatal("Peek after a failed read must be nil")
 	}
 }
 
