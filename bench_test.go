@@ -7,7 +7,6 @@ package tributarydelta_test
 // operations.
 
 import (
-	"fmt"
 	"testing"
 
 	td "tributarydelta"
@@ -61,31 +60,6 @@ func BenchmarkEpochCount(b *testing.B) {
 				s.RunEpoch(i)
 			}
 		})
-	}
-}
-
-// BenchmarkEpochCountWorkers measures the 600-node Count round across
-// wave-engine worker bounds — the scaling series recorded in BENCH_4.json
-// and smoke-checked by CI (workers=4 must never regress past workers=1 by
-// more than 10%; see TestParallelOverheadGuard).
-func BenchmarkEpochCountWorkers(b *testing.B) {
-	for _, scheme := range []td.Scheme{td.SchemeTAG, td.SchemeSD, td.SchemeTD} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers-%d", scheme, workers), func(b *testing.B) {
-				dep := td.NewSyntheticDeployment(1, 600)
-				dep.SetGlobalLoss(0.2)
-				s, err := td.Open(dep, td.Count(), td.WithScheme(scheme), td.WithWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.RunEpoch(i)
-				}
-			})
-		}
 	}
 }
 

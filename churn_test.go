@@ -2,8 +2,7 @@ package tributarydelta
 
 // Facade coverage for scripted node churn: a fixed WithChurn schedule —
 // deaths, rejoins and a mid-run re-parent riding the §4.2 adaptation — must
-// produce bit-identical answers across worker counts and the sim/chan
-// transports, must actually depress ground-truth contributions while nodes
+// produce bit-identical answers across the sim/chan transports, must actually depress ground-truth contributions while nodes
 // are down, and infeasible schedules must be rejected at Open.
 
 import (
@@ -64,13 +63,13 @@ func churnFixture(t *testing.T) (mk func() *Deployment, sched []ChurnEvent, down
 
 // TestChurnGoldenMatrix pins the determinism contract under churn: the fixed
 // schedule's 24 epochs — spanning two §4.2 adaptation periods — answer
-// bit-identically across Workers 1/3/8 and the sim and concurrent-channel
-// transports, and the outage window demonstrably removes contributions
-// relative to the same run without churn.
+// bit-identically over the sim and concurrent-channel transports, and the
+// outage window demonstrably removes contributions relative to the same run
+// without churn.
 func TestChurnGoldenMatrix(t *testing.T) {
 	mk, sched, _ := churnFixture(t)
-	run := func(workers int, concurrent bool, churn []ChurnEvent) []Result[float64] {
-		s, err := Open(mk(), Count(), WithSeed(11), WithWorkers(workers),
+	run := func(concurrent bool, churn []ChurnEvent) []Result[float64] {
+		s, err := Open(mk(), Count(), WithSeed(11),
 			WithConcurrentRuntime(concurrent), WithChurn(churn...))
 		if err != nil {
 			t.Fatal(err)
@@ -82,24 +81,19 @@ func TestChurnGoldenMatrix(t *testing.T) {
 		return s.Run(0, 24)
 	}
 
-	ref := run(1, false, sched)
-	for _, workers := range []int{3, 8} {
-		for _, concurrent := range []bool{false, true} {
-			got := run(workers, concurrent, sched)
-			for e := range ref {
-				if got[e].Answer != ref[e].Answer || got[e].TrueContrib != ref[e].TrueContrib ||
-					got[e].EstContrib != ref[e].EstContrib || got[e].DeltaSize != ref[e].DeltaSize {
-					t.Fatalf("workers=%d concurrent=%v epoch %d: %+v diverged from reference %+v",
-						workers, concurrent, e, got[e], ref[e])
-				}
-			}
+	ref := run(false, sched)
+	got := run(true, sched)
+	for e := range ref {
+		if got[e].Answer != ref[e].Answer || got[e].TrueContrib != ref[e].TrueContrib ||
+			got[e].EstContrib != ref[e].EstContrib || got[e].DeltaSize != ref[e].DeltaSize {
+			t.Fatalf("chan transport epoch %d: %+v diverged from the simulator's %+v", e, got[e], ref[e])
 		}
 	}
 
 	// The schedule must have teeth: over the outage window the churned run's
 	// ground-truth contributions drop below the undisturbed run's (same seed,
 	// same loss realization — the only difference is the dead nodes).
-	base := run(1, false, nil)
+	base := run(false, nil)
 	churned, quiet := 0, 0
 	for e := 4; e < 9; e++ {
 		churned += ref[e].TrueContrib

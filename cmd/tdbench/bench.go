@@ -12,22 +12,19 @@ import (
 )
 
 // Bench mode: the BenchmarkEpochCount workload (one 600-node Count
-// collection round at Global(0.2) loss) timed for TAG/SD/TD across
-// wave-engine worker bounds, written as a committed JSON artifact so the
-// perf trajectory has dated datapoints that survive benchmark-log rot.
+// collection round at Global(0.2) loss) timed for TAG/SD/TD, written as a
+// JSON artifact so the perf trajectory has dated datapoints that survive
+// benchmark-log rot.
 
 // benchNodes and benchLoss mirror BenchmarkEpochCount exactly.
 const (
 	benchNodes = 600
 	benchLoss  = 0.2
-	// benchWarmup epochs grow every pool and buffer, settle the adaptive
-	// phase gate AND let the TD delta reach its oscillating equilibrium
-	// (expansions before that relabel vertices and legitimately grow frame
-	// buffers, which would read as steady-state allocation). 1000 epochs
-	// puts TD firmly at equilibrium — its delta is larger there than in the
-	// growth phase earlier artifacts sampled, so TD rows cost more ns/op
-	// than BENCH_5's but describe the true steady state, and the allocs
-	// column reads a clean 0.
+	// benchWarmup epochs grow every pool and buffer AND let the TD delta
+	// reach its oscillating equilibrium (expansions before that relabel
+	// vertices and legitimately grow frame buffers, which would read as
+	// steady-state allocation). 1000 epochs puts TD firmly at equilibrium,
+	// so the allocs column reads a clean 0.
 	benchWarmup = 1000
 	// benchSamples batches of benchBatch epochs each are timed; the median
 	// batch is reported, making the artifact robust to scheduler noise.
@@ -35,12 +32,10 @@ const (
 	benchBatch   = 20
 )
 
-// BenchResult is one (scheme, workers) measurement.
+// BenchResult is one scheme's measurement.
 type BenchResult struct {
 	// Scheme is the aggregation scheme ("TAG", "SD", "TD").
 	Scheme string `json:"scheme"`
-	// Workers is the wave-engine worker bound.
-	Workers int `json:"workers"`
 	// NsPerOp is the median epoch latency in nanoseconds.
 	NsPerOp int64 `json:"nsPerOp"`
 	// AllocsPerOp is the steady-state heap allocations per epoch.
@@ -63,7 +58,7 @@ type PoolBenchResult struct {
 	EpochsPerSec float64 `json:"epochsPerSec"`
 }
 
-// BenchArtifact is the BENCH_6.json document.
+// BenchArtifact is the -bench output document.
 type BenchArtifact struct {
 	// GeneratedBy records the producing command.
 	GeneratedBy string `json:"generatedBy"`
@@ -89,11 +84,11 @@ type BenchArtifact struct {
 	Pool []PoolBenchResult `json:"pool"`
 }
 
-// benchOne measures one (scheme, workers) cell.
-func benchOne(scheme td.Scheme, workers int) (BenchResult, error) {
+// benchOne measures one scheme.
+func benchOne(scheme td.Scheme) (BenchResult, error) {
 	dep := td.NewSyntheticDeployment(1, benchNodes)
 	dep.SetGlobalLoss(benchLoss)
-	s, err := td.Open(dep, td.Count(), td.WithScheme(scheme), td.WithWorkers(workers))
+	s, err := td.Open(dep, td.Count(), td.WithScheme(scheme))
 	if err != nil {
 		return BenchResult{}, err
 	}
@@ -123,7 +118,6 @@ func benchOne(scheme td.Scheme, workers int) (BenchResult, error) {
 	measured := benchSamples * benchBatch
 	return BenchResult{
 		Scheme:        scheme.String(),
-		Workers:       workers,
 		NsPerOp:       median.Nanoseconds() / benchBatch,
 		AllocsPerOp:   float64(ms1.Mallocs-ms0.Mallocs) / float64(measured),
 		BytesPerEpoch: float64(bytes1-bytes0) / float64(measured),
@@ -141,7 +135,7 @@ func benchPool(deployments int, pipelined bool) (PoolBenchResult, error) {
 	for i := 0; i < deployments; i++ {
 		dep := td.NewSyntheticDeployment(uint64(i+1), poolNodes)
 		dep.SetGlobalLoss(benchLoss)
-		s, err := td.NewCountSession(dep, td.SchemeTD, uint64(i+1))
+		s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD), td.WithSeed(uint64(i+1)))
 		if err != nil {
 			return PoolBenchResult{}, err
 		}
@@ -186,15 +180,13 @@ func runBench(path string) error {
 		Epochs:      benchBatch,
 	}
 	for _, scheme := range []td.Scheme{td.SchemeTAG, td.SchemeSD, td.SchemeTD} {
-		for _, workers := range []int{1, 2, 4} {
-			res, err := benchOne(scheme, workers)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10s workers=%d  %10d ns/op  %7.1f allocs/op  %9.0f bytes/epoch\n",
-				res.Scheme, res.Workers, res.NsPerOp, res.AllocsPerOp, res.BytesPerEpoch)
-			art.Results = append(art.Results, res)
+		res, err := benchOne(scheme)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("%-10s  %10d ns/op  %7.1f allocs/op  %9.0f bytes/epoch\n",
+			res.Scheme, res.NsPerOp, res.AllocsPerOp, res.BytesPerEpoch)
+		art.Results = append(art.Results, res)
 	}
 	for _, pipelined := range []bool{false, true} {
 		res, err := benchPool(4, pipelined)

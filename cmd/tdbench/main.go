@@ -6,16 +6,15 @@
 //	tdbench -exp fig5a            # one experiment, full scale
 //	tdbench -exp all -quick       # everything, reduced scale
 //	tdbench -list                 # list experiment ids
-//	tdbench -bench                # epoch-engine timings -> BENCH_6.json
+//	tdbench -bench                # epoch-engine timings -> -benchout JSON
 //	tdbench -benchudp             # UDP data-plane timings -> BENCH_7.json
 //	tdbench -chaos                # scripted fault schedule vs the UDP fleet
 //
 // Each experiment prints a table whose rows mirror the series of the
 // corresponding paper artifact; DESIGN.md §4 records the calibration notes.
 // The bench mode times the 600-node Count epoch (the BenchmarkEpochCount
-// workload) for TAG/SD/TD across wave-engine worker bounds 1/2/4 and writes
-// the medians to a JSON artifact, so the repo carries a committed perf
-// datapoint per engine generation (DESIGN.md §7). The benchudp mode drives
+// workload) for TAG/SD/TD, plus pool throughput at 4 hosted deployments,
+// and writes the medians to a JSON artifact. The benchudp mode drives
 // the same 600-node field over the real multi-process UDP runtime (k=4
 // shards, loopback) with datagram coalescing on and off, in both barrier
 // modes, recording epochs/sec, datagrams/epoch, bytes/datagram and socket

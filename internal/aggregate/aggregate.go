@@ -137,8 +137,7 @@ type SynopsisMemoizer[P, S any] interface {
 // only when acc itself appears among in (mirroring sketch.UnionAllInto, so a
 // caller that wants the fold passes acc as in[0]). in must not be modified;
 // the returned synopsis is acc itself. Implementations must be safe for
-// concurrent calls on distinct accumulators (the engine fuses from several
-// workers at once), so no aggregate-owned scratch.
+// concurrent calls on distinct accumulators, so no aggregate-owned scratch.
 type SynopsisBatchFuser[S any] interface {
 	// FuseAll overwrites acc with the fusion of every synopsis in `in`.
 	FuseAll(acc S, in []S) S

@@ -1,6 +1,6 @@
 //go:build !race
 
-package network
+package network_test
 
 // raceEnabled reports whether the race detector is instrumenting this build.
 const raceEnabled = false

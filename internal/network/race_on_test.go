@@ -1,6 +1,6 @@
 //go:build race
 
-package network
+package network_test
 
 // raceEnabled reports whether the race detector is instrumenting this build
 // — timing guards skip under it, since instrumentation swamps what they

@@ -68,28 +68,6 @@ func TestEpochLowAllocTD(t *testing.T) {
 			t.Fatalf("TD epoch with adaptation allocates %v per op, want 0", n)
 		}
 	})
-	t.Run("with-adaptation-workers-4", func(t *testing.T) {
-		f := newFixture(24, 300)
-		r := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 24,
-			func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
-				c.Workers = 4
-			})
-		defer r.Close()
-		epoch := 0
-		for ; epoch < 1000; epoch++ {
-			r.RunEpoch(epoch)
-		}
-		n := testing.AllocsPerRun(40, func() {
-			r.RunEpoch(epoch)
-			epoch++
-		})
-		// The wave engine's parallel path must hold the same budget: shard
-		// dispatch reuses one closure and the helper channels, and worker
-		// scratch reaches a fixed shape because shard assignment is stable.
-		if n != 0 {
-			t.Fatalf("TD epoch (workers=4) allocates %v per op, want 0", n)
-		}
-	})
 }
 
 // TestRecyclerEngagedForAllAggregates pins that every aggregate shipping a

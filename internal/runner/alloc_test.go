@@ -11,40 +11,37 @@ import (
 // TestEpochZeroAllocCount pins the zero-allocation receive path: after the
 // first epochs grow every pool and buffer to steady state, a Count
 // collection round allocates nothing — across the tree scheme, full
-// synopsis diffusion, and TD, sequential and sharded. (Adaptation periods
+// synopsis diffusion, and TD. (Adaptation periods
 // are excluded: a TD switch legitimately relabels state; the claim is about
 // the per-epoch collection loop.)
 func TestEpochZeroAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race job")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, mode := range []Mode{ModeTree, ModeMultipath} {
-			t.Run(mode.String()+"/"+string(rune('0'+workers)), func(t *testing.T) {
-				f := newFixture(20, 300)
-				r := countRunner(t, f, mode, network.Global{P: 0.2}, 20,
-					func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
-						c.Workers = workers
-						c.AdaptEvery = 1 << 30
-					})
-				// Warm up loss-free: with every frame delivered, every pool
-				// and buffer reaches its maximum size, so the lossy epochs
-				// measured below can never need growth.
-				r.cfg.Net.Model = network.Global{P: 0}
-				epoch := 0
-				for ; epoch < 5; epoch++ {
-					r.RunEpoch(epoch)
-				}
-				r.cfg.Net.Model = network.Global{P: 0.2}
-				n := testing.AllocsPerRun(20, func() {
-					r.RunEpoch(epoch)
-					epoch++
+	for _, mode := range []Mode{ModeTree, ModeMultipath} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := newFixture(20, 300)
+			r := countRunner(t, f, mode, network.Global{P: 0.2}, 20,
+				func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
+					c.AdaptEvery = 1 << 30
 				})
-				if n != 0 {
-					t.Fatalf("steady-state Count epoch allocates %v per op, want 0", n)
-				}
+			// Warm up loss-free: with every frame delivered, every pool and
+			// buffer reaches its maximum size, so the lossy epochs measured
+			// below can never need growth.
+			r.cfg.Net.Model = network.Global{P: 0}
+			epoch := 0
+			for ; epoch < 5; epoch++ {
+				r.RunEpoch(epoch)
+			}
+			r.cfg.Net.Model = network.Global{P: 0.2}
+			n := testing.AllocsPerRun(20, func() {
+				r.RunEpoch(epoch)
+				epoch++
 			})
-		}
+			if n != 0 {
+				t.Fatalf("steady-state Count epoch allocates %v per op, want 0", n)
+			}
+		})
 	}
 }
 
@@ -54,31 +51,28 @@ func TestEpochZeroAllocSum(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race job")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, mode := range []Mode{ModeTree, ModeMultipath} {
-			t.Run(mode.String()+"/"+string(rune('0'+workers)), func(t *testing.T) {
-				f := newFixture(21, 300)
-				r := sumRunner(t, f, mode, network.Global{P: 0.2}, 21,
-					func(c *Config[float64, float64, *sketch.Sketch, float64]) {
-						c.Workers = workers
-						c.AdaptEvery = 1 << 30
-					})
-				// Loss-free warm-up maximizes every pool; see TestEpochZeroAllocCount.
-				r.cfg.Net.Model = network.Global{P: 0}
-				epoch := 0
-				for ; epoch < 5; epoch++ {
-					r.RunEpoch(epoch)
-				}
-				r.cfg.Net.Model = network.Global{P: 0.2}
-				n := testing.AllocsPerRun(20, func() {
-					r.RunEpoch(epoch)
-					epoch++
+	for _, mode := range []Mode{ModeTree, ModeMultipath} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := newFixture(21, 300)
+			r := sumRunner(t, f, mode, network.Global{P: 0.2}, 21,
+				func(c *Config[float64, float64, *sketch.Sketch, float64]) {
+					c.AdaptEvery = 1 << 30
 				})
-				if n != 0 {
-					t.Fatalf("steady-state Sum epoch allocates %v per op, want 0", n)
-				}
+			// Loss-free warm-up maximizes every pool; see TestEpochZeroAllocCount.
+			r.cfg.Net.Model = network.Global{P: 0}
+			epoch := 0
+			for ; epoch < 5; epoch++ {
+				r.RunEpoch(epoch)
+			}
+			r.cfg.Net.Model = network.Global{P: 0.2}
+			n := testing.AllocsPerRun(20, func() {
+				r.RunEpoch(epoch)
+				epoch++
 			})
-		}
+			if n != 0 {
+				t.Fatalf("steady-state Sum epoch allocates %v per op, want 0", n)
+			}
+		})
 	}
 }
 

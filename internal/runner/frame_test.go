@@ -188,13 +188,13 @@ func TestSynopsisFrameBound(t *testing.T) {
 			topNC: topNC, minNC: math.MinInt, ncValid: true,
 		}
 		var slot frameSlot[int64, *sketch.Sketch]
-		r.encodeFrame(r.ws[0], r.cfg.AdaptEvery-1, &env, &slot)
+		r.encodeFrame(r.cfg.AdaptEvery-1, &env, &slot)
 		if len(slot.buf) > r.maxSynFrame || cap(slot.buf) != r.maxSynFrame {
 			t.Fatalf("TopK %d: worst-case frame is %d bytes in a %d-byte slot, bound %d",
 				topK, len(slot.buf), cap(slot.buf), r.maxSynFrame)
 		}
 		var got envelope[int64, *sketch.Sketch]
-		r.decodeFrame(r.ws[0], slot.buf, &got)
+		r.decodeFrame(slot.buf, &got)
 		if got.from != env.from || !slices.Equal(got.topNC, topNC) || got.minNC != env.minNC {
 			t.Fatalf("TopK %d: worst-case frame decodes to from %d top %v min %d", topK, got.from, got.topNC, got.minNC)
 		}
@@ -254,7 +254,7 @@ func TestPayloadCodecsRejectDamagedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bad := range payloadDamage(slot.buf, len(e.Payload)) {
-			if !panics(func() { r.decodeFrame(r.ws[0], bad, &dst) }) {
+			if !panics(func() { r.decodeFrame(bad, &dst) }) {
 				t.Fatalf("decodeFrame accepted % x, a damaged copy of % x", bad, slot.buf)
 			}
 		}

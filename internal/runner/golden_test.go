@@ -40,15 +40,14 @@ const goldenEpochs = 30
 // in the delta, precision-gradient summaries in the tributaries).
 // newTransport, when non-nil, substitutes a Transport built over the runner's
 // own Net — the lever that lets the same golden file pin alternative delivery
-// backends. workers selects the wave engine's pool bound (0 = the GOMAXPROCS
-// default); the golden file is answer-identical at every setting.
-func goldenRuns(t *testing.T, newTransport func(*network.Net) Transport, workers int) []goldenRun {
+// backends.
+func goldenRuns(t *testing.T, newTransport func(*network.Net) Transport) []goldenRun {
 	t.Helper()
 	var out []goldenRun
 	for seed := uint64(1); seed <= 3; seed++ {
 		f := newFixture(seed, 300)
 		for _, mode := range []Mode{ModeTree, ModeMultipath, ModeTDCoarse, ModeTD} {
-			g := goldenSetup{t: t, f: f, mode: mode, seed: seed, newTransport: newTransport, workers: workers}
+			g := goldenSetup{t: t, f: f, mode: mode, seed: seed, newTransport: newTransport}
 			out = append(out,
 				goldenSeries(g, "Count", aggregate.NewCount(seed),
 					func(int, int) struct{} { return struct{}{} }, formatFloat),
@@ -64,7 +63,7 @@ func goldenRuns(t *testing.T, newTransport func(*network.Net) Transport, workers
 		// aggregates' own 10-epoch reseeding windows. This one expands to the
 		// 3rd-largest non-contributing subtree every 7 epochs, so decisions
 		// fall inside reseeding windows and read the top-k statistics.
-		g := goldenSetup{t: t, f: f, mode: ModeTD, seed: seed, newTransport: newTransport, workers: workers,
+		g := goldenSetup{t: t, f: f, mode: ModeTD, seed: seed, newTransport: newTransport,
 			topK: 3, adaptEvery: 7}
 		out = append(out, goldenSeries(g, "Count", aggregate.NewCount(seed),
 			func(int, int) struct{} { return struct{}{} }, formatFloat))
@@ -80,7 +79,6 @@ type goldenSetup struct {
 	mode         Mode
 	seed         uint64
 	newTransport func(*network.Net) Transport
-	workers      int
 	topK         int
 	adaptEvery   int
 }
@@ -96,7 +94,6 @@ func goldenSeries[V, P, S, R any](g goldenSetup, name string, agg aggregate.Aggr
 		Value:      value,
 		Mode:       g.mode,
 		Seed:       g.seed,
-		Workers:    g.workers,
 		TopK:       g.topK,
 		AdaptEvery: g.adaptEvery,
 	}
@@ -150,7 +147,7 @@ func formatSummary(s *quantile.Summary) string {
 // answer.
 func TestGoldenAnswers(t *testing.T) {
 	path := filepath.Join("testdata", "golden_answers.json")
-	got := goldenRuns(t, nil, 1)
+	got := goldenRuns(t, nil)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -166,20 +163,6 @@ func TestGoldenAnswers(t *testing.T) {
 		return
 	}
 	compareGolden(t, got)
-}
-
-// TestGoldenAnswersParallel pins the level-parallel wave engine against the
-// same golden file as the sequential runner: all four schemes, seeds 1–3,
-// at three worker-pool bounds, bit-identical — the determinism contract
-// that lets the default engine shard waves across however many cores the
-// host has.
-func TestGoldenAnswersParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("golden file is updated by TestGoldenAnswers")
-	}
-	for _, workers := range []int{1, 3, 8} {
-		compareGolden(t, goldenRuns(t, nil, workers))
-	}
 }
 
 // compareGolden checks got against the pinned golden file.

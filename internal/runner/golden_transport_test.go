@@ -10,15 +10,12 @@ import (
 // TestGoldenAnswersChanTransport re-runs the golden workloads with the
 // deterministic goroutine-per-node chan transport substituted for the
 // in-process simulator and compares against the very same golden file: the
-// concurrent runtime must not move a single answer — under the sequential
-// engine and under the parallel wave engine driving the same backend.
+// concurrent runtime must not move a single answer.
 func TestGoldenAnswersChanTransport(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		got := goldenRuns(t, func(net *network.Net) Transport {
-			ch := transport.New(net, transport.Options{Deterministic: true})
-			t.Cleanup(ch.Close)
-			return ch
-		}, workers)
-		compareGolden(t, got)
-	}
+	got := goldenRuns(t, func(net *network.Net) Transport {
+		ch := transport.New(net, transport.Options{Deterministic: true})
+		t.Cleanup(ch.Close)
+		return ch
+	})
+	compareGolden(t, got)
 }

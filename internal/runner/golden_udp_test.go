@@ -29,9 +29,8 @@ func newDetUDP(t *testing.T, nw *network.Net, noBatch bool) *transport.UDP {
 // TestGoldenAnswersUDPTransport re-runs the golden workloads (4 schemes ×
 // seeds 1–3) with the multi-process UDP transport in deterministic mode —
 // real loopback datagrams, an in-process shard fleet, the barrier protocol
-// — and compares against the very same golden file, under the sequential
-// engine and the parallel wave engine, with datagram coalescing both on and
-// off. The Deliver verdict comes from the same seeded loss hash as the
+// — and compares against the very same golden file, with datagram
+// coalescing both on and off. The Deliver verdict comes from the same seeded loss hash as the
 // simulator and the chan transport, and the exactly-once barrier guarantees
 // the data plane keeps up, so not a single answer may move — batched or not.
 func TestGoldenAnswersUDPTransport(t *testing.T) {
@@ -41,12 +40,10 @@ func TestGoldenAnswersUDPTransport(t *testing.T) {
 			name = "unbatched"
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				got := goldenRuns(t, func(nw *network.Net) Transport {
-					return newDetUDP(t, nw, noBatch)
-				}, workers)
-				compareGolden(t, got)
-			}
+			got := goldenRuns(t, func(nw *network.Net) Transport {
+				return newDetUDP(t, nw, noBatch)
+			})
+			compareGolden(t, got)
 		})
 	}
 }

@@ -34,9 +34,8 @@ import "tributarydelta/internal/sketch"
 //     sender's verdict is always ready before its receivers ask.
 //
 // Everything here is a pure cache: answers, frame bytes and network.Stats
-// accounting are bit-identical with memoization on, off (Config.NoMemo), or
-// across worker counts — pinned by TestMemoMatchesNoMemo and the golden
-// matrix. Ground-truth contributor bitsets are simulator metadata derived
+// accounting are bit-identical with memoization on or off (Config.noMemo) —
+// pinned by TestMemoMatchesNoMemo and the golden matrix. Ground-truth contributor bitsets are simulator metadata derived
 // from the epoch's actual arrivals, so they are always recomputed, never
 // memoized. Adaptation switches relabel vertices and therefore bust every
 // cache (bustMemo); reseeding-period rollovers bust the grain they touch.
@@ -103,7 +102,7 @@ func (nm *nodeMemo[P, S]) findOrCreate(from int32) *boundaryEntry[P, S] {
 // depends only on key equality (conversions are pure functions of the key),
 // never on epochs being consecutive.
 func (r *Runner[V, P, S, R]) beginMemoEpoch(epoch int) {
-	r.memoOn = r.memo != nil && r.rec != nil && !r.cfg.NoMemo
+	r.memoOn = r.memo != nil && r.rec != nil && !r.cfg.noMemo
 	if !r.memoOn {
 		return
 	}

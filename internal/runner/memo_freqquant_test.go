@@ -16,8 +16,8 @@ import (
 // this revision: their conversions cache per boundary child and their frames
 // reuse whole across clean epochs, keyed by the same reseeding windows as
 // Count/Sum. The transparency contract is identical — bit-identical answers
-// and stats with the caches engaged or disabled, across modes, loss rates
-// and worker counts.
+// and stats with the caches engaged or disabled, across modes and loss
+// rates.
 
 // runSeriesWith is runSeries for non-scalar answers: render canonicalizes
 // the per-epoch result (map iteration order must not leak into the string).
@@ -65,59 +65,57 @@ func TestFreqQuantileMemoMatchesNoMemo(t *testing.T) {
 	const epochs = 70
 	for _, mode := range []Mode{ModeMultipath, ModeTDCoarse, ModeTD} {
 		for _, loss := range []float64{0, 0.25} {
-			for _, workers := range []int{1, 3, 8} {
-				label := fmt.Sprintf("%v/loss=%v/workers=%d", mode, loss, workers)
-				f := newFixture(41, 120)
+			label := fmt.Sprintf("%v/loss=%v", mode, loss)
+			f := newFixture(41, 120)
 
-				mkFreq := func(noMemo bool) *Runner[[]freq.Item, *freq.Summary, *freq.Synopsis, freq.Result] {
-					fa := freq.NewAgg(f.tr, freq.MinTotalLoad{Epsilon: 0.01, D: topo.TreeDominationFactor(f.tr, 0.05)},
-						0.01, freq.DefaultParams(41, 0.01, 12))
-					r, err := New(Config[[]freq.Item, *freq.Summary, *freq.Synopsis, freq.Result]{
-						Graph: f.g, Rings: f.r, Tree: f.tr,
-						Net: network.New(f.g, network.Global{P: loss}, 41),
-						Agg: fa,
-						Value: func(epoch, node int) []freq.Item {
-							return []freq.Item{freq.Item(node % 7), freq.Item((node*31 + epoch/20) % 40)}
-						},
-						Mode: mode, Seed: 41, Workers: workers, NoMemo: noMemo,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return r
+			mkFreq := func(noMemo bool) *Runner[[]freq.Item, *freq.Summary, *freq.Synopsis, freq.Result] {
+				fa := freq.NewAgg(f.tr, freq.MinTotalLoad{Epsilon: 0.01, D: topo.TreeDominationFactor(f.tr, 0.05)},
+					0.01, freq.DefaultParams(41, 0.01, 12))
+				r, err := New(Config[[]freq.Item, *freq.Summary, *freq.Synopsis, freq.Result]{
+					Graph: f.g, Rings: f.r, Tree: f.tr,
+					Net: network.New(f.g, network.Global{P: loss}, 41),
+					Agg: fa,
+					Value: func(epoch, node int) []freq.Item {
+						return []freq.Item{freq.Item(node % 7), freq.Item((node*31 + epoch/20) % 40)}
+					},
+					Mode: mode, Seed: 41, noMemo: noMemo,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				memoF := mkFreq(false)
-				if memoF.memo == nil {
-					t.Fatal("FrequentItems runner did not resolve the SynopsisMemoizer extension")
-				}
-				compareSeries(t, "freq/"+label,
-					runSeriesWith(memoF, epochs, renderFreq),
-					runSeriesWith(mkFreq(true), epochs, renderFreq))
-
-				mkQuant := func(noMemo bool) *Runner[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary] {
-					qa := quantile.NewAgg(f.tr, 41, 32, 16, nil)
-					r, err := New(Config[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary]{
-						Graph: f.g, Rings: f.r, Tree: f.tr,
-						Net: network.New(f.g, network.Global{P: loss}, 41),
-						Agg: qa,
-						Value: func(epoch, node int) float64 {
-							return float64(node%50) + float64(epoch/25)
-						},
-						Mode: mode, Seed: 41, Workers: workers, NoMemo: noMemo,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return r
-				}
-				memoQ := mkQuant(false)
-				if memoQ.memo == nil {
-					t.Fatal("Quantiles runner did not resolve the SynopsisMemoizer extension")
-				}
-				compareSeries(t, "quantile/"+label,
-					runSeriesWith(memoQ, epochs, renderQuantile),
-					runSeriesWith(mkQuant(true), epochs, renderQuantile))
+				return r
 			}
+			memoF := mkFreq(false)
+			if memoF.memo == nil {
+				t.Fatal("FrequentItems runner did not resolve the SynopsisMemoizer extension")
+			}
+			compareSeries(t, "freq/"+label,
+				runSeriesWith(memoF, epochs, renderFreq),
+				runSeriesWith(mkFreq(true), epochs, renderFreq))
+
+			mkQuant := func(noMemo bool) *Runner[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary] {
+				qa := quantile.NewAgg(f.tr, 41, 32, 16, nil)
+				r, err := New(Config[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary]{
+					Graph: f.g, Rings: f.r, Tree: f.tr,
+					Net: network.New(f.g, network.Global{P: loss}, 41),
+					Agg: qa,
+					Value: func(epoch, node int) float64 {
+						return float64(node%50) + float64(epoch/25)
+					},
+					Mode: mode, Seed: 41, noMemo: noMemo,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			memoQ := mkQuant(false)
+			if memoQ.memo == nil {
+				t.Fatal("Quantiles runner did not resolve the SynopsisMemoizer extension")
+			}
+			compareSeries(t, "quantile/"+label,
+				runSeriesWith(memoQ, epochs, renderQuantile),
+				runSeriesWith(mkQuant(true), epochs, renderQuantile))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // The epoch-over-epoch memoization (memo.go) is a pure cache: every answer,
 // contributing estimate and stats counter must be bit-identical with the
-// caches engaged, disabled, and at every worker count — under loss (partial
+// caches engaged and disabled — under loss (partial
 // reuse), under zero loss (the fully-clean steady state), across reseeding
 // period rollovers, adaptation switches, changing readings, and decision
 // epochs, whose frames carry the §4.2 statistics the others leave out.
@@ -38,31 +38,25 @@ func compareSeries(t *testing.T, label string, got, want []string) {
 	}
 }
 
-// TestMemoMatchesNoMemo pins the cache-transparency contract across modes,
-// loss rates and worker counts, for Count and Sum. 140 epochs cross
+// TestMemoMatchesNoMemo pins the cache-transparency contract across modes
+// and loss rates, for Count and Sum. 140 epochs cross
 // several reseeding periods and (in the TD modes) many adaptation
 // decisions.
 func TestMemoMatchesNoMemo(t *testing.T) {
 	const epochs = 140
 	for _, mode := range []Mode{ModeMultipath, ModeTDCoarse, ModeTD} {
 		for _, loss := range []float64{0, 0.25} {
-			for _, workers := range []int{1, 3, 8} {
-				label := fmt.Sprintf("%v/loss=%v/workers=%d", mode, loss, workers)
-				f := newFixture(31, 250)
-				base := countRunner(t, f, mode, network.Global{P: loss}, 31,
-					func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
-						c.Workers = workers
-						c.NoMemo = true
-					})
-				memo := countRunner(t, f, mode, network.Global{P: loss}, 31,
-					func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
-						c.Workers = workers
-					})
-				if memo.memo == nil {
-					t.Fatal("Count runner did not resolve the SynopsisMemoizer extension")
-				}
-				compareSeries(t, label, runSeries(memo, epochs), runSeries(base, epochs))
+			label := fmt.Sprintf("%v/loss=%v", mode, loss)
+			f := newFixture(31, 250)
+			base := countRunner(t, f, mode, network.Global{P: loss}, 31,
+				func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
+					c.noMemo = true
+				})
+			memo := countRunner(t, f, mode, network.Global{P: loss}, 31)
+			if memo.memo == nil {
+				t.Fatal("Count runner did not resolve the SynopsisMemoizer extension")
 			}
+			compareSeries(t, label, runSeries(memo, epochs), runSeries(base, epochs))
 		}
 	}
 	// Sum exercises the binomial-simulation path (readings > the direct
@@ -79,7 +73,7 @@ func TestMemoMatchesNoMemo(t *testing.T) {
 		mk := func(noMemo bool) *Runner[float64, float64, *sketch.Sketch, float64] {
 			return sumRunner(t, f, ModeTD, network.Global{P: loss}, 32,
 				func(c *Config[float64, float64, *sketch.Sketch, float64]) {
-					c.NoMemo = noMemo
+					c.noMemo = noMemo
 					c.Value = value
 				})
 		}

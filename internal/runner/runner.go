@@ -15,14 +15,12 @@
 // hand-off — but sizes can never drift from reality, and the Transport seam
 // lets a future networked backend replace the in-process simulator.
 //
-// Execution is a level-parallel wave engine: the nodes of one ring level
-// are independent (synopsis diffusion's own observation), so each level's
-// envelope construction and frame decoding shard across a bounded worker
-// pool while delivery — the part whose order defines the schedule — stays
-// on one dispatch goroutine. Every stochastic decision is a pure function
-// of (seed, epoch, ids) split through internal/xrand, so answers are
-// bit-identical across worker counts, including the sequential Workers=1
-// engine.
+// An epoch runs on the calling goroutine as one sequential loop over the
+// level slots, deepest first — ring l sends only after ring l+1, so a
+// deployment's epoch is sequential by construction; hosts scale across
+// deployments instead (the facade's Pool). Every stochastic decision is a
+// pure function of (seed, epoch, ids) split through internal/xrand, so
+// answers do not depend on the order runs or deployments are scheduled in.
 //
 // The runner also maintains ground truth: every envelope is accompanied by
 // a bitset of the sensors actually represented in it, so experiments can
@@ -36,9 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
-	"time"
 
 	"tributarydelta/internal/aggregate"
 	"tributarydelta/internal/network"
@@ -86,10 +82,10 @@ type Config[V, P, S, R any] struct {
 	Tree  *topo.Tree
 	Net   *network.Net
 	Agg   aggregate.Aggregate[V, P, S, R]
-	// Value supplies node readings per epoch (the stream of §2). It must be
-	// safe for concurrent calls with distinct nodes — the wave engine builds
-	// a level's envelopes in parallel. The pure-function workloads used
-	// everywhere satisfy this for free.
+	// Value supplies node readings per epoch (the stream of §2). The runner
+	// calls it only from the goroutine running the epoch (or ExactAnswer),
+	// so it needs no locking; answers are reproducible when it is a pure
+	// function of its arguments, as every shipped workload is.
 	Value func(epoch, node int) V
 	Mode  Mode
 	// Threshold is the user-specified minimum contributing fraction
@@ -135,35 +131,27 @@ type Config[V, P, S, R any] struct {
 	// transport backend lets its receive-side accounting land next to the
 	// runner's send-side accounting.
 	Stats *network.Stats
-	// Workers bounds the wave engine's worker pool: each level's
-	// independent nodes shard across up to Workers goroutines for envelope
-	// construction and frame decoding. 0 selects GOMAXPROCS; 1 runs every
-	// wave inline on the calling goroutine (the sequential engine).
-	// Answers are bit-identical across worker counts — every stochastic
-	// decision is a pure function of (seed, epoch, ids), see
-	// internal/xrand.
-	Workers int
-	// NoMemo disables the epoch-over-epoch synopsis memoization (see
-	// memo.go) even when the aggregate supports it — the A/B lever behind
-	// the bench guards. Answers are bit-identical either way.
-	NoMemo bool
-	// NoBatchFuse disables the fused multi-sketch unions: inbox synopses
+	// noMemo disables the epoch-over-epoch synopsis memoization (see
+	// memo.go) even when the aggregate supports it: the reference slow path
+	// the package's transparency tests and perf guards compare against.
+	// Answers are bit-identical either way.
+	noMemo bool
+	// noBatchFuse disables the fused multi-sketch unions: inbox synopses
 	// fold through one aggregate.SynopsisBatchFuser pass and contributing-
 	// Count sketches through one sketch.UnionAllInto pass when batching is
-	// on; off reverts to a Fuse/Union call per sender — the A/B lever
-	// behind the fused-union bench guard. Every batched operation is a
-	// pure bitwise OR, so answers are bit-identical either way.
-	NoBatchFuse bool
+	// on; off reverts to a Fuse/Union call per sender, the reference slow
+	// path of the fused-union guard. Every batched operation is a pure
+	// bitwise OR, so answers are bit-identical either way.
+	noBatchFuse bool
 	// Churn is an optional scripted node-churn schedule: nodes dying,
 	// rejoining and re-parenting at fixed epochs, applied before the
 	// epoch's first transmission. The schedule is validated up front (New
 	// fails on an infeasible event) and is part of the run's identity:
-	// answers under a fixed schedule are bit-identical across worker
-	// counts and transports. A down node stays in the contributing-%
-	// denominator — exactly the non-contributing pressure the §4.2
-	// adaptation strategies are built to absorb. When a schedule is
-	// present the runner clones Tree, so churn never mutates the caller's
-	// topology.
+	// answers under a fixed schedule are bit-identical across transports.
+	// A down node stays in the contributing-% denominator — exactly the
+	// non-contributing pressure the §4.2 adaptation strategies are built
+	// to absorb. When a schedule is present the runner clones Tree, so
+	// churn never mutates the caller's topology.
 	Churn []ChurnEvent
 }
 
@@ -247,7 +235,7 @@ type Runner[V, P, S, R any] struct {
 	rec aggregate.SynopsisRecycler[P, S]
 	// maxSynBytes and maxSynFrame are the aggregate's optional bound on an
 	// encoded synopsis and the framed envelope around it (0 when the
-	// aggregate gives none): the sizes worker encode scratch and synopsis
+	// aggregate gives none): the sizes the encode scratch and synopsis
 	// frame slots are allocated at, so byte-trimmed sketches that come out
 	// wider than in any earlier epoch do not regrow a buffer.
 	maxSynBytes, maxSynFrame int
@@ -258,7 +246,7 @@ type Runner[V, P, S, R any] struct {
 	memoState []nodeMemo[P, S]
 	memoOn    bool
 	// fuser is the aggregate's optional batch-fusion extension (resolved
-	// once, absent under Config.NoBatchFuse): a node's whole inbox of
+	// once, absent under Config.noBatchFuse): a node's whole inbox of
 	// synopses folds in one pass instead of one Fuse call per sender.
 	// batchUnions gates the analogous one-pass fold of contributing-Count
 	// sketches — plain bitwise OR, so it needs nothing from the aggregate.
@@ -279,9 +267,8 @@ type Runner[V, P, S, R any] struct {
 	prevAggKey     uint64
 	prevContribKey uint64
 	// contribArena backs every node's ground-truth contributor bitset for
-	// one epoch: node v owns contribArena[v*words:(v+1)*words]. The regions
-	// are disjoint, so the parallel build phase writes them race-free, and
-	// the arena is cleared (not reallocated) between epochs.
+	// one epoch: node v owns contribArena[v*words:(v+1)*words]. The arena is
+	// cleared (not reallocated) between epochs.
 	contribArena []uint64
 	// byLevel is the transmission schedule: the participating nodes of
 	// each level. Static within a run unless a ChurnReparent fires in tree
@@ -307,7 +294,7 @@ type Runner[V, P, S, R any] struct {
 	// participating sender, laid out level-major (see levelOff).
 	// buildEnvelope fully overwrites each slot every epoch.
 	envs []envelope[P, S]
-	// frames is the parallel arena of encoded outgoing frames and, for
+	// frames is the matching arena of encoded outgoing frames and, for
 	// frames that reached at least one receiver, their decoded shared
 	// envelope. Each sender's buffer persists across epochs (recycled via
 	// buf[:0]), which is also what the epoch-over-epoch frame memoization
@@ -317,38 +304,9 @@ type Runner[V, P, S, R any] struct {
 	// deterministic sequence the fill phase appends receiver inboxes in.
 	arrivals []arrival
 
-	// Wave engine state.
-	workers int
-	ws      []*workerState[P, S]
-	// startCh/doneCh coordinate the helper goroutines: a task on startCh
-	// carries the shard closure and a shard id; every completed shard
-	// answers on doneCh. Helpers retire when startCh closes — explicitly
-	// via Close, or through cleanup when an unclosed runner is collected.
-	startCh chan waveTask
-	doneCh  chan struct{}
-	cleanup runtime.Cleanup
-	// shardFn is the one closure binding the helpers to this runner's
-	// phase state, created once.
-	shardFn func(w int)
-	spawned int // live helper goroutines (this epoch)
-	// curPhase/curEpoch/curNodes/curOff/curStride describe the engaged
-	// phase for the helpers; written before the startCh sends that publish
-	// them.
-	curPhase  int
-	curEpoch  int
-	curNodes  []int
-	curOff    int
-	curStride int
-	// phaseNS estimates the sequential per-item cost of each parallel phase
-	// (EWMA of measured wall time) — the gate that keeps cheap waves (a TAG
-	// level of trivial integer folds) inline instead of paying wake-up
-	// latency for no win. phaseTick counts parallel engagements per phase:
-	// every probeEvery-th one runs inline instead, so the estimate is
-	// periodically re-anchored to a true sequential measurement (a parallel
-	// measurement scaled by the stride overestimates sequential cost on an
-	// oversubscribed host, where shards serialize anyway).
-	phaseNS   [2]float64
-	phaseTick [2]int
+	// scratch is the epoch's reusable decode arena, recycled pools and
+	// encode buffers.
+	scratch epochScratch[P, S]
 
 	// Base-station evaluation scratch, reused epoch to epoch so the
 	// steady-state loop allocates nothing.
@@ -364,43 +322,10 @@ type Runner[V, P, S, R any] struct {
 	baseMinNC int
 }
 
-// Wave phases.
-const (
-	phaseBuild  = iota // construct + encode a level's envelopes
-	phaseDecode        // decode the level's delivered frames (once per frame)
-)
-
-// minParallelPhaseNS is the estimated sequential phase cost below which a
-// wave runs inline: waking helpers costs a few microseconds, so a phase
-// must have at least this much divisible work before parallelism can win.
-const minParallelPhaseNS = 24000
-
-// probeEvery is how often an engaged phase runs inline anyway, to
-// re-anchor the cost estimate with a true sequential measurement.
-const probeEvery = 64
-
 // arrival records one successful delivery: receiver and the index of the
 // sender's frame in the level's frame table.
 type arrival struct {
 	to, frame int32
-}
-
-// waveTask is one helper engagement: run fn(w), or retire when fn is nil.
-type waveTask struct {
-	fn func(w int)
-	w  int
-}
-
-// waveWorkerLoop is a helper goroutine's body: process shard tasks until
-// the task channel closes. It is a plain function of its channels (not a
-// method), so an idle helper keeps only the channels alive — never the
-// runner — which is what lets a cleanup close the channel and retire the
-// helpers once the runner itself is unreachable.
-func waveWorkerLoop(startCh chan waveTask, doneCh chan struct{}) {
-	for t := range startCh {
-		t.fn(t.w)
-		doneCh <- struct{}{}
-	}
 }
 
 // frameSlot is one sender's encoded frame plus its decoded envelope. A
@@ -418,11 +343,10 @@ type frameSlot[P, S any] struct {
 	ncEpoch bool
 }
 
-// workerState is one wave worker's private scratch: the reusable decode
-// arena, the recycled contributing-Count and synopsis pools, the outgoing
-// top-NC buffer and the encode buffers. Workers never share scratch, so the
-// parallel phases run without locks; pools reset each epoch.
-type workerState[P, S any] struct {
+// epochScratch is the runner's reusable per-epoch scratch: the decode arena,
+// the recycled contributing-Count and synopsis pools, the outgoing top-NC
+// buffer and the encode buffers. Pools reset each epoch.
+type epochScratch[P, S any] struct {
 	dec        wire.Decoder
 	skPool     contribSketchPool
 	synPool    []S
@@ -431,30 +355,29 @@ type workerState[P, S any] struct {
 	payloadBuf []byte
 	contribBuf []byte
 	// fuseSrcs/contribSrcs gather one node's fusion inputs for the batched
-	// single-pass folds; the worker owns them, so the parallel build phase
-	// stays lock-free (aggregates must not keep their own gather scratch).
+	// single-pass folds.
 	fuseSrcs    []S
 	contribSrcs []*sketch.Sketch
 }
 
-// getSyn hands out a recycled synopsis from the worker's pool.
-func (w *workerState[P, S]) getSyn(rec aggregate.SynopsisRecycler[P, S]) S {
-	if w.synNext < len(w.synPool) {
-		s := w.synPool[w.synNext]
-		w.synNext++
+// getSyn hands out a recycled synopsis from the pool.
+func (sc *epochScratch[P, S]) getSyn(rec aggregate.SynopsisRecycler[P, S]) S {
+	if sc.synNext < len(sc.synPool) {
+		s := sc.synPool[sc.synNext]
+		sc.synNext++
 		return s
 	}
 	s := rec.NewSynopsis()
-	w.synPool = append(w.synPool, s)
-	w.synNext++
+	sc.synPool = append(sc.synPool, s)
+	sc.synNext++
 	return s
 }
 
-// resetEpoch prepares the worker's pools for a new epoch.
-func (w *workerState[P, S]) resetEpoch() {
-	w.dec.Reset()
-	w.skPool.reset()
-	w.synNext = 0
+// resetEpoch prepares the pools for a new epoch.
+func (sc *epochScratch[P, S]) resetEpoch() {
+	sc.dec.Reset()
+	sc.skPool.reset()
+	sc.synNext = 0
 }
 
 // contribSketchPool hands out ContribK-bitmap sketches, recycling them each
@@ -485,13 +408,11 @@ func (p *contribSketchPool) get() *sketch.Sketch {
 // receiver. The in-process implementation consults the loss model; a
 // networked backend would put the frame on a real socket.
 //
-// The runner calls Deliver from a single dispatch goroutine, level by level
-// (deepest first) and, for tree unicasts, once per retransmission attempt
-// in increasing attempt order — the wave engine parallelizes envelope
-// construction and frame decoding around the delivery phase, never the
-// delivery phase itself. Returning false means the frame was lost whole —
-// there is no partial delivery — and the runner records the failed attempt
-// in Stats.Losses.
+// The runner calls Deliver from the goroutine running the epoch, level by
+// level (deepest first) and, for tree unicasts, once per retransmission
+// attempt in increasing attempt order. Returning false means the frame was
+// lost whole — there is no partial delivery — and the runner records the
+// failed attempt in Stats.Losses.
 type Transport interface {
 	// Deliver reports whether the attempt-th transmission of frame by
 	// `from` during `epoch` reached `to`. Implementations must not retain
@@ -512,8 +433,8 @@ type EpochMarker interface {
 // simTransport adapts network.Net to the Transport seam: delivery is a pure
 // function of (seed, epoch, attempt, from, to); the frame travels by
 // staying in memory. The per-epoch delivery view caches the epoch half of
-// the loss hash chain; Deliver is dispatch-goroutine-only per the Transport
-// contract, so the plain fields are race-free.
+// the loss hash chain; Deliver is called from one goroutine per the
+// Transport contract, so the plain fields are race-free.
 type simTransport struct {
 	net     *network.Net
 	view    network.EpochView
@@ -652,7 +573,7 @@ func New[V, P, S, R any](cfg Config[V, P, S, R]) (*Runner[V, P, S, R], error) {
 	} else {
 		r.memo = nil
 	}
-	r.batchUnions = !cfg.NoBatchFuse
+	r.batchUnions = !cfg.noBatchFuse
 	if r.batchUnions {
 		r.fuser, _ = cfg.Agg.(aggregate.SynopsisBatchFuser[S])
 	}
@@ -669,7 +590,12 @@ func New[V, P, S, R any](cfg Config[V, P, S, R]) (*Runner[V, P, S, R], error) {
 	if r.sensors == 0 {
 		return nil, errors.New("runner: no sensor can reach the base station")
 	}
-	r.SetWorkers(cfg.Workers)
+	r.scratch = epochScratch[P, S]{
+		skPool:     contribSketchPool{k: cfg.ContribK},
+		topNC:      make([]int, 0, r.topKCap()+1),
+		payloadBuf: make([]byte, 0, r.maxSynBytes),
+		contribBuf: make([]byte, 0, sketch.WireBytes(cfg.ContribK)),
+	}
 	return r, nil
 }
 
@@ -808,70 +734,10 @@ func (r *Runner[V, P, S, R]) applyChurn(epoch int) {
 	}
 }
 
-// SetWorkers re-bounds the wave engine's worker pool: n <= 0 selects
-// GOMAXPROCS, 1 the sequential inline engine. Answers do not depend on the
-// worker count. It must not be called while an epoch is in flight (the
-// deployment pool applies its budget between rounds).
-func (r *Runner[V, P, S, R]) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	r.workers = n
-	for len(r.ws) < n {
-		r.ws = append(r.ws, &workerState[P, S]{
-			skPool:     contribSketchPool{k: r.cfg.ContribK},
-			topNC:      make([]int, 0, r.topKCap()+1),
-			payloadBuf: make([]byte, 0, r.maxSynBytes),
-			contribBuf: make([]byte, 0, sketch.WireBytes(r.cfg.ContribK)),
-		})
-	}
-	// Retire the current helper generation when it no longer fits: its
-	// channel is too small for a grown bound, or a shrunken bound leaves
-	// surplus helpers idle forever (runPhase can never dispatch more than
-	// workers−1 tasks, so the surplus would just sit on 8KB stacks).
-	// Closing the channel retires all of them; the needed ones respawn
-	// lazily. SetWorkers transitions are rare (pool rebalances).
-	if r.startCh != nil && (cap(r.startCh) < n || r.spawned > n-1) {
-		r.cleanup.Stop()
-		close(r.startCh)
-		r.startCh, r.doneCh, r.spawned = nil, nil, 0
-	}
-	if n > 1 && r.startCh == nil {
-		r.startCh = make(chan waveTask, n)
-		r.doneCh = make(chan struct{}, n)
-		// Helpers persist between epochs (spawning is not free, and the
-		// steady-state loop must not allocate); they hold only the
-		// channels, so this cleanup retires them if an unclosed runner is
-		// collected. Close retires them deterministically.
-		r.cleanup = runtime.AddCleanup(r, func(ch chan waveTask) { close(ch) }, r.startCh)
-	}
-	if r.shardFn == nil {
-		r.shardFn = func(w int) {
-			r.phaseShard(r.curPhase, r.curEpoch, r.curNodes, r.curOff, w, r.curStride)
-		}
-	}
-}
-
-// Workers returns the wave engine's current worker bound.
-func (r *Runner[V, P, S, R]) Workers() int { return r.workers }
-
-// Close retires the wave engine's helper goroutines. It must not overlap a
-// running epoch; it is idempotent, and a closed runner may still run epochs
-// (they fall back to the sequential engine until SetWorkers re-arms the
-// pool). Runners that are simply dropped without Close are also fine — a
-// GC cleanup retires their helpers — but long-lived processes that hold
-// closed sessions should not wait on the collector.
-func (r *Runner[V, P, S, R]) Close() {
-	if r.startCh == nil {
-		return
-	}
-	r.cleanup.Stop()
-	close(r.startCh)
-	r.startCh = nil
-	r.doneCh = nil
-	r.spawned = 0
-	r.workers = 1
-}
+// Close releases nothing: an epoch runs entirely on the calling goroutine,
+// so a runner owns no goroutines or descriptors. It is idempotent, and kept
+// for callers that close every stack they build (bench/trace.go).
+func (r *Runner[V, P, S, R]) Close() {}
 
 // participates reports whether sensor v takes part in aggregation (reachable
 // and, in tree mode, attached to the tree).
@@ -1012,18 +878,15 @@ func (r *Runner[V, P, S, R]) RunEpoch(epoch int) EpochResult[R] {
 	for i := range r.frames {
 		r.frames[i].needed = false
 	}
-	for _, ws := range r.ws[:r.workers] {
-		ws.resetEpoch()
-	}
+	r.scratch.resetEpoch()
 	r.beginMemoEpoch(epoch)
 
 	// Nodes transmit level by level toward the base station, deepest first
-	// (§2): build+encode the level's envelopes (parallel wave), dispatch
-	// deliveries in schedule order (sequential — order defines the
-	// schedule), decode the delivered frames once each (parallel wave), and
-	// fill receiver inboxes in delivery order — an inbox entry is the slot
-	// index of the sender's decoded envelope, shared by every receiver of
-	// the broadcast.
+	// (§2): build+encode the level's envelopes, dispatch deliveries in
+	// schedule order, decode the delivered frames once each, and fill
+	// receiver inboxes in delivery order — an inbox entry is the slot index
+	// of the sender's decoded envelope, shared by every receiver of the
+	// broadcast.
 	for level := r.maxLevel; level >= 1; level-- {
 		nodes := r.byLevel[level]
 		if len(nodes) == 0 {
@@ -1031,7 +894,7 @@ func (r *Runner[V, P, S, R]) RunEpoch(epoch int) EpochResult[R] {
 		}
 		off := r.levelOff[level]
 
-		r.runPhase(phaseBuild, epoch, nodes, off)
+		r.buildLevel(epoch, nodes, off)
 
 		r.arrivals = r.arrivals[:0]
 		for i, v := range nodes {
@@ -1041,7 +904,7 @@ func (r *Runner[V, P, S, R]) RunEpoch(epoch int) EpochResult[R] {
 			r.deliver(epoch, v, off+i, &r.envs[off+i])
 		}
 
-		r.runPhase(phaseDecode, epoch, nodes, off)
+		r.decodeLevel(nodes, off)
 
 		for _, a := range r.arrivals {
 			r.inbox[a.to] = append(r.inbox[a.to], a.frame)
@@ -1179,110 +1042,49 @@ func (r *Runner[V, P, S, R]) Run(epochs int) []EpochResult[R] {
 	return out
 }
 
-// runPhase executes one parallel wave phase over the level's nodes: on the
-// calling goroutine alone when the estimated sequential cost is below the
-// wake-up break-even (or Workers is 1), across the helper pool otherwise.
-// The shard assignment (i ≡ w mod stride) depends only on the worker bound
-// and the level width — never on whether helpers were engaged — so each
-// worker state's pools see a stable node subset and reach a fixed
-// steady-state size even as the adaptive gate flips a level between inline
-// and parallel execution. (Results don't depend on the assignment either
-// way: every scratch object is fully overwritten at reuse.)
-func (r *Runner[V, P, S, R]) runPhase(phase, epoch int, nodes []int, off int) {
-	stride := r.workers
-	if stride > len(nodes) {
-		stride = len(nodes)
-	}
-	engage := stride > 1 && r.phaseNS[phase]*float64(len(nodes)) >= minParallelPhaseNS
-	if engage {
-		r.phaseTick[phase]++
-		engage = r.phaseTick[phase]%probeEvery != 0
-	}
-	if !engage {
-		//lint:ignore determinism EWMA phase-gate timing; it only picks inline vs parallel execution, and answers are pinned bit-identical at every worker count
-		start := time.Now()
-		for w := 0; w < stride; w++ {
-			r.phaseShard(phase, epoch, nodes, off, w, stride)
-		}
-		//lint:ignore determinism EWMA phase-gate timing; it only picks inline vs parallel execution, and answers are pinned bit-identical at every worker count
-		r.observePhase(phase, len(nodes), time.Since(start))
-		return
-	}
-	r.ensureWorkers()
-	r.curPhase, r.curEpoch, r.curNodes, r.curOff, r.curStride = phase, epoch, nodes, off, stride
-	for w := 1; w < stride; w++ {
-		r.startCh <- waveTask{fn: r.shardFn, w: w}
-	}
-	r.phaseShard(phase, epoch, nodes, off, 0, stride)
-	for w := 1; w < stride; w++ {
-		<-r.doneCh
-	}
-}
-
-// observePhase updates the per-item sequential cost estimate (EWMA). Only
-// inline runs feed it — parallel wall time is not a clean sequential
-// signal (dividing by concurrency assumes the shards actually ran
-// concurrently, which an oversubscribed host does not deliver), so engaged
-// phases refresh the estimate through the periodic inline probe instead.
-func (r *Runner[V, P, S, R]) observePhase(phase, items int, elapsed time.Duration) {
-	per := float64(elapsed.Nanoseconds()) / float64(items)
-	if r.phaseNS[phase] == 0 {
-		r.phaseNS[phase] = per
-		return
-	}
-	r.phaseNS[phase] = 0.75*r.phaseNS[phase] + 0.25*per
-}
-
-// ensureWorkers lazily spawns the helper goroutines (workers−1 of them; the
-// dispatch goroutine is worker 0). Helpers persist until the runner's
-// cleanup closes their task channel.
-func (r *Runner[V, P, S, R]) ensureWorkers() {
-	for r.spawned < r.workers-1 {
-		r.spawned++
-		go waveWorkerLoop(r.startCh, r.doneCh)
-	}
-}
-
-// phaseShard runs worker w's share (i ≡ w mod stride) of a phase; off is the
-// level's base slot in the epoch-wide arenas.
+// buildLevel builds and encodes the envelope of every sender of one level
+// into its arena slot (off is the level's base slot), reusing last epoch's
+// frame where the memo proves it unchanged.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) phaseShard(phase, epoch int, nodes []int, off, w, stride int) {
-	ws := r.ws[w]
-	switch phase {
-	case phaseBuild:
-		for i := w; i < len(nodes); i += stride {
-			v := nodes[i]
-			slot := off + i
-			if r.memoOn && r.tryReuseFrame(epoch, v, slot) {
-				continue
-			}
-			r.buildEnvelope(ws, epoch, v, r.inbox[v], &r.envs[slot])
-			r.encodeFrame(ws, epoch, &r.envs[slot], &r.frames[slot])
-			if r.memoOn {
-				r.recordMemo(v)
-			}
+func (r *Runner[V, P, S, R]) buildLevel(epoch int, nodes []int, off int) {
+	for i, v := range nodes {
+		slot := off + i
+		if r.memoOn && r.tryReuseFrame(epoch, v, slot) {
+			continue
 		}
-	case phaseDecode:
-		for i := w; i < len(nodes); i += stride {
-			f := &r.frames[off+i]
-			if !f.needed {
-				continue
-			}
-			r.decodeFrame(ws, f.buf, &f.env)
-			f.env.contributors = r.envs[off+i].contributors
+		r.buildEnvelope(epoch, v, r.inbox[v], &r.envs[slot])
+		r.encodeFrame(epoch, &r.envs[slot], &r.frames[slot])
+		if r.memoOn {
+			r.recordMemo(v)
 		}
+	}
+}
+
+// decodeLevel decodes, once each, the level's frames that reached at least
+// one receiver.
+//
+//td:hotpath
+func (r *Runner[V, P, S, R]) decodeLevel(nodes []int, off int) {
+	for i := range nodes {
+		f := &r.frames[off+i]
+		if !f.needed {
+			continue
+		}
+		r.decodeFrame(f.buf, &f.env)
+		f.env.contributors = r.envs[off+i].contributors
 	}
 }
 
 // buildEnvelope assembles node v's outgoing partial result from its own
 // reading and its inbox into *out, drawing every recycled object from the
-// calling worker's private scratch. The contributor bitset lives in the
-// runner's per-epoch arena — node-disjoint, so concurrent shards are safe.
+// runner's scratch. The contributor bitset lives in the runner's per-epoch
+// arena.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, in []int32, out *envelope[P, S]) {
+func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelope[P, S]) {
 	agg := r.cfg.Agg
+	sc := &r.scratch
 	own := agg.Local(epoch, v, r.cfg.Value(r.valueEpoch(epoch, v), v))
 	contributors := r.contribArena[v*r.words : (v+1)*r.words]
 	setBit(contributors, v)
@@ -1320,7 +1122,7 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 	var s S
 	batch := r.fuser != nil
 	if batch {
-		ws.fuseSrcs = ws.fuseSrcs[:0]
+		sc.fuseSrcs = sc.fuseSrcs[:0]
 	}
 	if r.memoOn {
 		nm = &r.memoState[v]
@@ -1336,30 +1138,30 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 		if batch {
 			// FuseAll overwrites its accumulator, so the cached own-base
 			// synopsis joins the source list instead of being copied first.
-			s = ws.getSyn(r.rec)
-			ws.fuseSrcs = append(ws.fuseSrcs, nm.ownSyn)
+			s = sc.getSyn(r.rec)
+			sc.fuseSrcs = append(sc.fuseSrcs, nm.ownSyn)
 		} else {
-			s = r.memo.CopySynopsisInto(ws.getSyn(r.rec), nm.ownSyn)
+			s = r.memo.CopySynopsisInto(sc.getSyn(r.rec), nm.ownSyn)
 		}
 	} else {
-		s = r.convert(ws, epoch, v, own)
+		s = r.convert(epoch, v, own)
 		if batch {
 			// s carries real content here: listing the accumulator among
 			// the sources makes FuseAll fold it rather than overwrite it.
-			ws.fuseSrcs = append(ws.fuseSrcs, s)
+			sc.fuseSrcs = append(sc.fuseSrcs, s)
 		}
 	}
-	cs := ws.skPool.get()
+	cs := sc.skPool.get()
 	cs.Reset()
 	cs.AddCount(r.contribSeed(epoch), uint64(v), 1)
 	if r.batchUnions {
 		// Same accumulator-among-sources trick: direct AddCount insertions
 		// into cs (below) survive the final one-pass union.
-		ws.contribSrcs = append(ws.contribSrcs[:0], cs)
+		sc.contribSrcs = append(sc.contribSrcs[:0], cs)
 	}
 	subtreeContrib := int64(1)
 	shipNC := r.ncEpoch(epoch)
-	topNC := ws.topNC[:0]
+	topNC := sc.topNC[:0]
 	minNC, ncValid := 0, false
 	for _, idx := range in {
 		e := &r.frames[idx].env
@@ -1376,7 +1178,7 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 					be.cValid = true
 				}
 				if r.batchUnions {
-					ws.contribSrcs = append(ws.contribSrcs, be.contrib)
+					sc.contribSrcs = append(sc.contribSrcs, be.contrib)
 				} else {
 					cs.Union(be.contrib)
 				}
@@ -1390,27 +1192,27 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 					be.pValid = true
 				}
 				if batch {
-					ws.fuseSrcs = append(ws.fuseSrcs, be.syn)
+					sc.fuseSrcs = append(sc.fuseSrcs, be.syn)
 				} else {
 					s = agg.Fuse(s, be.syn)
 				}
 			} else {
 				if batch {
-					ws.fuseSrcs = append(ws.fuseSrcs, r.convert(ws, epoch, e.from, e.p))
+					sc.fuseSrcs = append(sc.fuseSrcs, r.convert(epoch, e.from, e.p))
 				} else {
-					s = agg.Fuse(s, r.convert(ws, epoch, e.from, e.p))
+					s = agg.Fuse(s, r.convert(epoch, e.from, e.p))
 				}
 				cs.AddCount(r.contribSeed(epoch), uint64(e.from), e.contribTree)
 			}
 			subtreeContrib += e.contribTree
 		} else {
 			if batch {
-				ws.fuseSrcs = append(ws.fuseSrcs, e.s)
+				sc.fuseSrcs = append(sc.fuseSrcs, e.s)
 			} else {
 				s = agg.Fuse(s, e.s)
 			}
 			if r.batchUnions {
-				ws.contribSrcs = append(ws.contribSrcs, e.contribSk)
+				sc.contribSrcs = append(sc.contribSrcs, e.contribSk)
 			} else {
 				cs.Union(e.contribSk)
 			}
@@ -1425,10 +1227,10 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 		orBits(contributors, e.contributors)
 	}
 	if batch {
-		s = r.fuser.FuseAll(s, ws.fuseSrcs)
+		s = r.fuser.FuseAll(s, sc.fuseSrcs)
 	}
-	if r.batchUnions && len(ws.contribSrcs) > 1 {
-		sketch.UnionAllInto(cs, ws.contribSrcs...)
+	if r.batchUnions && len(sc.contribSrcs) > 1 {
+		sketch.UnionAllInto(cs, sc.contribSrcs...)
 	}
 	// A frontier M vertex roots a unique all-T tree subtree (§4.2 footnote
 	// 3) and reports how many of its nodes did not contribute.
@@ -1455,38 +1257,39 @@ func (r *Runner[V, P, S, R]) buildEnvelope(ws *workerState[P, S], epoch, v int, 
 
 // convert applies the tree→multi-path conversion, through the recycling
 // fast path when the aggregate offers one. The returned synopsis lives
-// until the worker's pools reset at the next epoch.
-func (r *Runner[V, P, S, R]) convert(ws *workerState[P, S], epoch, owner int, p P) S {
+// until the pools reset at the next epoch.
+func (r *Runner[V, P, S, R]) convert(epoch, owner int, p P) S {
 	if r.rec != nil {
-		return r.rec.ConvertInto(epoch, owner, p, ws.getSyn(r.rec))
+		return r.rec.ConvertInto(epoch, owner, p, r.scratch.getSyn(r.rec))
 	}
 	return r.cfg.Agg.Convert(epoch, owner, p)
 }
 
 // encodeFrame serializes v's outgoing envelope into the level's frame slot
-// using the worker's encode scratch. The slot buffer persists until the
+// using the runner's encode scratch. The slot buffer persists until the
 // level's deliveries and decodes are done.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) encodeFrame(ws *workerState[P, S], epoch int, env *envelope[P, S], slot *frameSlot[P, S]) {
+func (r *Runner[V, P, S, R]) encodeFrame(epoch int, env *envelope[P, S], slot *frameSlot[P, S]) {
+	sc := &r.scratch
 	we := wire.Envelope{From: uint32(env.from)}
 	if env.isTree {
 		we.Kind = wire.KindTree
 		we.Contrib = env.contribTree
-		ws.payloadBuf = r.cfg.Agg.AppendPartial(ws.payloadBuf[:0], env.p)
+		sc.payloadBuf = r.cfg.Agg.AppendPartial(sc.payloadBuf[:0], env.p)
 	} else {
 		we.Kind = wire.KindSynopsis
 		if cap(slot.buf) < r.maxSynFrame {
 			slot.buf = make([]byte, 0, r.maxSynFrame)
 		}
-		ws.contribBuf = env.contribSk.AppendWire(ws.contribBuf[:0])
-		we.ContribSketch = ws.contribBuf
+		sc.contribBuf = env.contribSk.AppendWire(sc.contribBuf[:0])
+		we.ContribSketch = sc.contribBuf
 		we.TopNC = env.topNC
 		we.MinNC = env.minNC
 		we.NCValid = env.ncValid
-		ws.payloadBuf = r.cfg.Agg.AppendSynopsis(ws.payloadBuf[:0], env.s)
+		sc.payloadBuf = r.cfg.Agg.AppendSynopsis(sc.payloadBuf[:0], env.s)
 	}
-	we.Payload = ws.payloadBuf
+	we.Payload = sc.payloadBuf
 	slot.buf = wire.AppendEnvelope(slot.buf[:0], &we)
 	slot.ncEpoch = r.ncEpoch(epoch)
 }
@@ -1499,8 +1302,9 @@ func (r *Runner[V, P, S, R]) encodeFrame(ws *workerState[P, S], epoch int, env *
 // network condition — it panics rather than silently dropping data.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) decodeFrame(ws *workerState[P, S], frame []byte, dst *envelope[P, S]) {
-	we, err := ws.dec.Decode(frame)
+func (r *Runner[V, P, S, R]) decodeFrame(frame []byte, dst *envelope[P, S]) {
+	sc := &r.scratch
+	we, err := sc.dec.Decode(frame)
 	if err != nil {
 		panic(fmt.Sprintf("runner: corrupt frame: %v", err))
 	}
@@ -1524,14 +1328,14 @@ func (r *Runner[V, P, S, R]) decodeFrame(ws *workerState[P, S], frame []byte, ds
 	case wire.KindSynopsis:
 		var s S
 		if r.rec != nil {
-			s, err = r.rec.DecodeSynopsisInto(we.Payload, ws.getSyn(r.rec))
+			s, err = r.rec.DecodeSynopsisInto(we.Payload, sc.getSyn(r.rec))
 		} else {
 			s, err = r.cfg.Agg.DecodeSynopsis(we.Payload)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("runner: corrupt synopsis from %d: %v", dst.from, err))
 		}
-		cs := ws.skPool.get()
+		cs := sc.skPool.get()
 		if err := cs.LoadWire(we.ContribSketch); err != nil {
 			panic(fmt.Sprintf("runner: corrupt contributing sketch from %d: %v", dst.from, err))
 		}

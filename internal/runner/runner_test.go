@@ -2,9 +2,7 @@ package runner
 
 import (
 	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"tributarydelta/internal/aggregate"
 	"tributarydelta/internal/network"
@@ -146,88 +144,6 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("epoch %d diverged between identical runs", i)
 		}
 	}
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	f := newFixture(6, 300)
-	seq := countRunner(t, f, ModeTD, network.Global{P: 0.25}, 6,
-		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) { c.Workers = 1 })
-	rs := seq.Run(20)
-	for _, workers := range []int{2, 4, 8} {
-		par := countRunner(t, f, ModeTD, network.Global{P: 0.25}, 6,
-			func(c *Config[struct{}, int64, *sketch.Sketch, float64]) { c.Workers = workers })
-		rp := par.Run(20)
-		for i := range rs {
-			if rs[i].Answer != rp[i].Answer || rs[i].TrueContrib != rp[i].TrueContrib {
-				t.Fatalf("epoch %d: %d-worker run diverged from sequential", i, workers)
-			}
-		}
-	}
-}
-
-func TestSetWorkersMidRunKeepsAnswers(t *testing.T) {
-	// The pool rebalances worker budgets between rounds; answers must not
-	// move when the bound changes mid-run.
-	f := newFixture(6, 300)
-	ref := countRunner(t, f, ModeTD, network.Global{P: 0.25}, 6,
-		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) { c.Workers = 1 })
-	dyn := countRunner(t, f, ModeTD, network.Global{P: 0.25}, 6)
-	rs := ref.Run(12)
-	for e := 0; e < 12; e++ {
-		dyn.SetWorkers(1 + e%5)
-		res := dyn.RunEpoch(e)
-		if res.Answer != rs[e].Answer || res.TrueContrib != rs[e].TrueContrib {
-			t.Fatalf("epoch %d: answers moved under SetWorkers(%d)", e, 1+e%5)
-		}
-	}
-	if dyn.Workers() != 1+11%5 {
-		t.Fatalf("Workers() = %d", dyn.Workers())
-	}
-}
-
-func TestCloseRetiresWaveHelpers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	f := newFixture(6, 300)
-	r := countRunner(t, f, ModeMultipath, network.Global{P: 0.2}, 6,
-		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) { c.Workers = 4 })
-	r.Run(5) // engages the pool, spawning helpers
-	r.Close()
-	r.Close() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still live after Close (started with %d)",
-				runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// A closed runner still answers, on the sequential engine.
-	if res := r.RunEpoch(5); res.TrueContrib == 0 {
-		t.Fatal("closed runner stopped answering")
-	}
-}
-
-func TestShrinkRetiresSurplusHelpers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	f := newFixture(6, 300)
-	r := countRunner(t, f, ModeMultipath, network.Global{P: 0.2}, 6,
-		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) { c.Workers = 6 })
-	r.Run(5) // engages the pool, spawning helpers
-	r.SetWorkers(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still live after SetWorkers(1) (started with %d)",
-				runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Growing again re-arms the pool.
-	r.SetWorkers(4)
-	if res := r.RunEpoch(5); res.TrueContrib == 0 {
-		t.Fatal("re-armed runner stopped answering")
-	}
-	r.Close()
 }
 
 func TestTDExpandsUnderHighLoss(t *testing.T) {

@@ -42,10 +42,10 @@ func Hash(seed uint64, ids ...uint64) uint64 {
 
 // Split derives the seed of a statistically independent sub-stream from a
 // parent seed and the identifiers of the entity owning the sub-stream — the
-// splittable-RNG discipline that makes the level-parallel epoch engine
-// deterministic: every node (and every epoch) draws from its own
-// (seed, ids...) sub-stream, so the bits a node consumes are a pure function
-// of identity, never of scheduling order or worker count. Split(seed, ids...)
+// splittable-RNG discipline that keeps every delivery backend deterministic:
+// every node (and every epoch) draws from its own (seed, ids...) sub-stream,
+// so the bits a node consumes are a pure function of identity, never of
+// scheduling order. Split(seed, ids...)
 // is Hash(seed, ids...) by definition; the separate name documents intent
 // (namespacing a stream) versus Hash's (consuming one value).
 func Split(seed uint64, ids ...uint64) uint64 {

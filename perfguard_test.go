@@ -11,18 +11,18 @@ import (
 )
 
 // measureEpochNS times one steady-state 600-node Count epoch for the given
-// scheme and wave-engine worker bound.
-func measureEpochNS(b testing.TB, scheme td.Scheme, workers int, extra ...td.Option) float64 {
+// scheme.
+func measureEpochNS(b testing.TB, scheme td.Scheme, extra ...td.Option) float64 {
 	dep := td.NewSyntheticDeployment(1, 600)
 	dep.SetGlobalLoss(0.2)
-	opts := append([]td.Option{td.WithScheme(scheme), td.WithWorkers(workers)}, extra...)
+	opts := append([]td.Option{td.WithScheme(scheme)}, extra...)
 	s, err := td.Open(dep, td.Count(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	epoch := 0
-	for ; epoch < 20; epoch++ { // warm pools, buffers and the phase gate
+	for ; epoch < 20; epoch++ { // warm pools, buffers and caches
 		s.RunEpoch(epoch)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
@@ -32,101 +32,6 @@ func measureEpochNS(b testing.TB, scheme td.Scheme, workers int, extra ...td.Opt
 		}
 	})
 	return float64(res.NsPerOp())
-}
-
-// TestParallelOverheadGuard is the CI smoke check that parallelism never
-// silently rots: the wave engine at Workers=4 must stay within 10% of the
-// sequential engine even on a starved host (CI runners may have one usable
-// core, where workers cost wake-ups and buy nothing — the adaptive phase
-// gate is what keeps that affordable). On multi-core hosts the same bound
-// holds trivially, since workers then win outright. Opt-in via
-// TD_BENCH_SMOKE=1 (it costs seconds); skips when timing is too noisy to
-// judge, like the other perf guards.
-func TestParallelOverheadGuard(t *testing.T) {
-	if os.Getenv("TD_BENCH_SMOKE") == "" {
-		t.Skip("set TD_BENCH_SMOKE=1 to run the benchmark smoke guard")
-	}
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	for _, scheme := range []td.Scheme{td.SchemeTAG, td.SchemeSD, td.SchemeTD} {
-		// Interleave two samples of each configuration and judge on the
-		// minima — both sides get the same protection against a one-off GC
-		// pause or scheduler hiccup inflating a sample.
-		seq1 := measureEpochNS(t, scheme, 1)
-		par1 := measureEpochNS(t, scheme, 4)
-		seq2 := measureEpochNS(t, scheme, 1)
-		par2 := measureEpochNS(t, scheme, 4)
-		if hi, lo := math.Max(seq1, seq2), math.Min(seq1, seq2); hi > lo*1.3 {
-			t.Logf("%v: timing too noisy to judge (%.0f vs %.0f ns/op sequential), skipping", scheme, seq1, seq2)
-			continue
-		}
-		base := math.Min(seq1, seq2)
-		par := math.Min(par1, par2)
-		t.Logf("%v: sequential %.0f ns/op, workers=4 %.0f ns/op (ratio %.3f)", scheme, base, par, par/base)
-		if par > base*1.10 {
-			t.Errorf("%v: workers=4 epoch %.0f ns/op exceeds sequential %.0f ns/op by more than 10%%",
-				scheme, par, base)
-		}
-	}
-}
-
-// TestSDMemoGuard is the CI smoke check that the epoch-over-epoch synopsis
-// memoization never becomes a pessimization: the SD epoch with the caches
-// engaged must stay within 10% of the cache-free engine on the lossy bench
-// workload (where clean-path hits are rare and the guard is pure overhead
-// accounting), and must actually win under zero loss (where every node goes
-// clean). Opt-in via TD_BENCH_SMOKE=1 like the other perf guards.
-func TestSDMemoGuard(t *testing.T) {
-	if os.Getenv("TD_BENCH_SMOKE") == "" {
-		t.Skip("set TD_BENCH_SMOKE=1 to run the benchmark smoke guard")
-	}
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	memo1 := measureEpochNS(t, td.SchemeSD, 1)
-	base1 := measureEpochNS(t, td.SchemeSD, 1, td.WithSynopsisMemo(false))
-	memo2 := measureEpochNS(t, td.SchemeSD, 1)
-	base2 := measureEpochNS(t, td.SchemeSD, 1, td.WithSynopsisMemo(false))
-	if hi, lo := math.Max(base1, base2), math.Min(base1, base2); hi > lo*1.3 {
-		t.Logf("timing too noisy to judge (%.0f vs %.0f ns/op unmemoized), skipping", base1, base2)
-		return
-	}
-	base := math.Min(base1, base2)
-	memo := math.Min(memo1, memo2)
-	t.Logf("SD: unmemoized %.0f ns/op, memoized %.0f ns/op (ratio %.3f)", base, memo, memo/base)
-	if memo > base*1.10 {
-		t.Errorf("SD memoized epoch %.0f ns/op exceeds unmemoized %.0f ns/op by more than 10%%", memo, base)
-	}
-}
-
-// TestSDFusedUnionGuard is the CI smoke check that the fused multi-sketch
-// unions never become a pessimization: the SD epoch with one-pass inbox
-// folds must stay within 10% of the per-sender union loop. (On the bench
-// workload the fused path should win outright — the bound is deliberately
-// loose so scheduler noise can't flake the guard.) Opt-in via
-// TD_BENCH_SMOKE=1 like the other perf guards.
-func TestSDFusedUnionGuard(t *testing.T) {
-	if os.Getenv("TD_BENCH_SMOKE") == "" {
-		t.Skip("set TD_BENCH_SMOKE=1 to run the benchmark smoke guard")
-	}
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	fused1 := measureEpochNS(t, td.SchemeSD, 1)
-	loop1 := measureEpochNS(t, td.SchemeSD, 1, td.WithFusedUnions(false))
-	fused2 := measureEpochNS(t, td.SchemeSD, 1)
-	loop2 := measureEpochNS(t, td.SchemeSD, 1, td.WithFusedUnions(false))
-	if hi, lo := math.Max(loop1, loop2), math.Min(loop1, loop2); hi > lo*1.3 {
-		t.Logf("timing too noisy to judge (%.0f vs %.0f ns/op looped), skipping", loop1, loop2)
-		return
-	}
-	loop := math.Min(loop1, loop2)
-	fused := math.Min(fused1, fused2)
-	t.Logf("SD: looped %.0f ns/op, fused %.0f ns/op (ratio %.3f)", loop, fused, fused/loop)
-	if fused > loop*1.10 {
-		t.Errorf("SD fused-union epoch %.0f ns/op exceeds looped %.0f ns/op by more than 10%%", fused, loop)
-	}
 }
 
 // TestUDPBatchGuard is the CI smoke check that datagram coalescing never
@@ -144,10 +49,10 @@ func TestUDPBatchGuard(t *testing.T) {
 		t.Skip("timing guard skipped in -short mode")
 	}
 	udp := []td.Option{td.WithUDPTransport(4)}
-	batch1 := measureEpochNS(t, td.SchemeTD, 1, udp...)
-	single1 := measureEpochNS(t, td.SchemeTD, 1, append(udp, td.WithDatagramBatching(false))...)
-	batch2 := measureEpochNS(t, td.SchemeTD, 1, udp...)
-	single2 := measureEpochNS(t, td.SchemeTD, 1, append(udp, td.WithDatagramBatching(false))...)
+	batch1 := measureEpochNS(t, td.SchemeTD, udp...)
+	single1 := measureEpochNS(t, td.SchemeTD, append(udp, td.WithDatagramBatching(false))...)
+	batch2 := measureEpochNS(t, td.SchemeTD, udp...)
+	single2 := measureEpochNS(t, td.SchemeTD, append(udp, td.WithDatagramBatching(false))...)
 	if hi, lo := math.Max(single1, single2), math.Min(single1, single2); hi > lo*1.3 {
 		t.Logf("timing too noisy to judge (%.0f vs %.0f ns/op unbatched), skipping", single1, single2)
 		return

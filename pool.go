@@ -4,18 +4,17 @@ package tributarydelta
 // deployment's collection loop, a Pool runs many independent deployments
 // concurrently under a shared worker budget — the "many concurrent users"
 // direction of the roadmap. Each deployment's epochs stay strictly ordered
-// (sessions are not concurrent-safe), but distinct deployments advance in
-// parallel, so aggregate epoch throughput scales with cores up to the
-// budget. A hosted deployment is either one scalar session (Add) or a
-// whole QuerySet (AddSet) — multi-query deployments advance all their
-// queries per round. cmd/tdserve exposes a Pool over HTTP.
+// and run sequentially (a §2 epoch is a chain of level slots), but distinct
+// deployments advance in parallel, so aggregate epoch throughput scales
+// with cores up to the budget. A hosted deployment is either one scalar
+// session (Add) or a whole QuerySet (AddSet) — multi-query deployments
+// advance all their queries per round. cmd/tdserve exposes a Pool over HTTP.
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // hosted is what a pool entry advances: one scalar session or a query set,
@@ -27,7 +26,6 @@ type hosted interface {
 	poolStats() SessionStats
 	transportErr() error
 	transportHealth() FleetHealth
-	setWorkers(n int)
 	close()
 }
 
@@ -44,8 +42,7 @@ func (h hostedSession) transportErr() error     { return h.s.TransportErr() }
 func (h hostedSession) transportHealth() FleetHealth {
 	return h.s.TransportHealth()
 }
-func (h hostedSession) setWorkers(n int) { h.s.SetWorkers(n) }
-func (h hostedSession) close()           { h.s.Close() }
+func (h hostedSession) close() { h.s.Close() }
 
 // hostedSet adapts a query set to the hosted contract.
 type hostedSet struct{ qs *QuerySet }
@@ -67,7 +64,6 @@ func (h hostedSet) poolStats() SessionStats {
 }
 func (h hostedSet) transportErr() error          { return h.qs.TransportErr() }
 func (h hostedSet) transportHealth() FleetHealth { return h.qs.TransportHealth() }
-func (h hostedSet) setWorkers(n int)             { h.qs.SetWorkers(n) }
 func (h hostedSet) close()                       { h.qs.Close() }
 
 // Pool hosts many independent deployments — scalar sessions or query sets —
@@ -75,13 +71,9 @@ func (h hostedSet) close()                       { h.qs.Close() }
 // are safe for concurrent use. The pool owns the sessions and sets added to
 // it: Remove (and Close) closes them.
 //
-// The budget governs two levels of parallelism: at most Workers deployments
-// advance at once, and each hosted deployment's intra-epoch wave engine
-// (see WithWorkers) is re-bounded to max(1, Workers/deployments) — so one
-// hosted deployment on an idle pool keeps full per-epoch parallelism,
-// while a full pool degrades every deployment to the sequential engine
-// instead of oversubscribing the machine. Rebalanced bounds apply at each
-// deployment's next round; answers never depend on them.
+// The budget is the host's only parallelism: at most Workers deployments
+// advance at once, each running its epochs on one goroutine. Answers never
+// depend on the budget or on which deployments share it.
 type Pool struct {
 	workers int
 	sem     chan struct{}
@@ -106,11 +98,6 @@ type poolEntry struct {
 	next   int // next epoch number
 	last   SetRound
 	closed bool
-	// workers is the pool-assigned wave-engine bound (the shared budget
-	// divided across hosted deployments); runLocked applies a change at the
-	// next round, so rebalancing never blocks on an in-flight run.
-	workers        atomic.Int64
-	appliedWorkers int
 	// Pipelined-mode queue state, all guarded by Pool.mu: pending rounds
 	// not yet run, finished rounds awaiting Barrier, and whether a drainer
 	// goroutine is currently responsible for this entry.
@@ -171,24 +158,7 @@ func (p *Pool) add(id string, h hosted) error {
 		return fmt.Errorf("tributarydelta: pool: deployment %q already exists", id)
 	}
 	p.entries[id] = &poolEntry{h: h}
-	p.rebalanceLocked()
 	return nil
-}
-
-// rebalanceLocked re-divides the worker budget across the hosted
-// deployments. Caller holds p.mu; the new bounds are applied lazily by each
-// entry's next round.
-func (p *Pool) rebalanceLocked() {
-	if len(p.entries) == 0 {
-		return
-	}
-	per := p.workers / len(p.entries)
-	if per < 1 {
-		per = 1
-	}
-	for _, e := range p.entries {
-		e.workers.Store(int64(per))
-	}
 }
 
 // Add registers scalar session s under id. The pool takes ownership of the
@@ -215,7 +185,6 @@ func (p *Pool) Remove(id string) bool {
 	p.mu.Lock()
 	e, ok := p.entries[id]
 	delete(p.entries, id)
-	p.rebalanceLocked()
 	p.mu.Unlock()
 	if !ok {
 		return false
@@ -270,10 +239,6 @@ func (p *Pool) Status(id string) (DeploymentStatus, bool) {
 
 // runLocked advances one deployment by rounds epochs. Caller holds e.mu.
 func (e *poolEntry) runLocked(rounds int) []SetRound {
-	if w := int(e.workers.Load()); w > 0 && w != e.appliedWorkers {
-		e.h.setWorkers(w)
-		e.appliedWorkers = w
-	}
 	out := make([]SetRound, 0, rounds)
 	for i := 0; i < rounds; i++ {
 		res := e.h.runEpoch(e.next)

@@ -61,9 +61,6 @@ type openConfig struct {
 	retransmits   int
 	topK          int
 	pipelined     bool
-	workers       int
-	noMemo        bool
-	noBatchFuse   bool
 	churn         []ChurnEvent
 	set           *QuerySet
 }
@@ -142,39 +139,15 @@ func WithTopK(k int) Option { return func(c *openConfig) { c.topK = k } }
 // once the pipeline fills, mixing readings across a window of epochs.
 func WithPipelined(on bool) Option { return func(c *openConfig) { c.pipelined = on } }
 
-// WithWorkers bounds the session's level-parallel wave engine: each epoch
-// level's independent nodes shard across up to n goroutines for envelope
-// construction and frame decoding. n <= 0 (and the default) selects
-// GOMAXPROCS; 1 selects the sequential engine. Answers are bit-identical
-// across worker counts — parallelism is purely a throughput knob. Sessions
-// hosted in a Pool have their bound re-divided by the pool's budget; see
-// Pool.
-func WithWorkers(n int) Option { return func(c *openConfig) { c.workers = n } }
-
-// WithSynopsisMemo toggles the epoch-over-epoch synopsis memoization of the
-// sketch-backed aggregates (default on): base synopses, boundary conversions
-// and whole broadcast frames are reused across epochs while their inputs
-// hold still. Answers are bit-identical either way — disabling it is an A/B
-// lever for benchmarking, not a behavioral switch.
-func WithSynopsisMemo(on bool) Option { return func(c *openConfig) { c.noMemo = !on } }
-
-// WithFusedUnions toggles the fused multi-sketch unions in the epoch engine
-// (default on): a node's whole inbox of synopses and contributing-Count
-// sketches folds in one word-major pass instead of one union per sender.
-// Every batched operation is a pure bitwise OR, so answers are bit-identical
-// either way — disabling it is an A/B lever for benchmarking, not a
-// behavioral switch.
-func WithFusedUnions(on bool) Option { return func(c *openConfig) { c.noBatchFuse = !on } }
-
 // WithChurn installs a scripted node-churn schedule: nodes dying (ChurnDown),
 // rejoining (ChurnUp) and re-parenting (ChurnReparent) at fixed epochs,
 // applied before the epoch's first transmission. Open validates the whole
 // schedule up front and rejects infeasible events (unknown nodes, downing a
 // down node, reparent cycles, non-neighbour or ring-violating parents). The
 // schedule is part of the run's identity: under a fixed schedule answers
-// stay bit-identical across worker counts and transports. Downed nodes stay
-// in the contributing-% denominator, so a schedule that silences subtrees
-// is exactly the stress the §4.2 adaptation strategies respond to.
+// stay bit-identical across transports. Downed nodes stay in the
+// contributing-% denominator, so a schedule that silences subtrees is
+// exactly the stress the §4.2 adaptation strategies respond to.
 func WithChurn(events ...ChurnEvent) Option {
 	return func(c *openConfig) { c.churn = append(c.churn[:len(c.churn):len(c.churn)], events...) }
 }
@@ -298,8 +271,6 @@ func (e runnerEngine[V, P, S, A, R]) runEpoch(epoch int) Result[R] {
 func (e runnerEngine[V, P, S, A, R]) exact(epoch int) R { return e.conv(e.r.ExactAnswer(epoch)) }
 func (e runnerEngine[V, P, S, A, R]) sensors() int      { return e.r.Sensors() }
 func (e runnerEngine[V, P, S, A, R]) deltaSize() int    { return e.r.State().DeltaSize() }
-func (e runnerEngine[V, P, S, A, R]) setWorkers(n int)  { e.r.SetWorkers(n) }
-func (e runnerEngine[V, P, S, A, R]) close()            { e.r.Close() }
 func (e runnerEngine[V, P, S, A, R]) stats() SessionStats {
 	// Snapshot is the race-free view: transmit-side totals as published at
 	// the last epoch boundary, receive side live — safe to call while a
@@ -337,9 +308,6 @@ func buildEngine[V, P, S, A, R any](env *openEnv, agg aggregate.Aggregate[V, P, 
 		Seed:            env.cfg.seed,
 		Transport:       env.tr,
 		Stats:           env.stats,
-		Workers:         env.cfg.workers,
-		NoMemo:          env.cfg.noMemo,
-		NoBatchFuse:     env.cfg.noBatchFuse,
 		Churn:           env.cfg.churn,
 	})
 	if err != nil {

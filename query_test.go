@@ -3,6 +3,7 @@ package tributarydelta_test
 import (
 	"context"
 	"maps"
+	"runtime"
 	"testing"
 
 	td "tributarydelta"
@@ -431,5 +432,35 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 	if res := s.RunEpoch(5); res.TrueContrib == 0 {
 		t.Fatal("session unusable after cancelled stream")
+	}
+}
+
+// TestEpochsStartNoGoroutines pins the sequential epoch engine: an epoch
+// runs entirely on the calling goroutine, so neither a simulator TD session
+// nor a 4-member query set raises the goroutine count while it runs 20
+// epochs — a host's parallelism lives in Pool, across deployments.
+func TestEpochsStartNoGoroutines(t *testing.T) {
+	dep := td.NewSyntheticDeployment(1, 250)
+	dep.SetGlobalLoss(0.2)
+	s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	set := dep.NewQuerySet(7)
+	defer set.Close()
+	val := func(_, node int) float64 { return float64(node % 50) }
+	for _, q := range []td.Query[float64]{td.Count(), td.Sum(val), td.Average(val), td.Min(val)} {
+		if _, err := td.Open(dep, q, td.InSet(set)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for e := 0; e < 20; e++ {
+		s.RunEpoch(e)
+		set.RunEpoch(e)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("epoch %d: %d goroutines live, %d before the run", e, n, before)
+		}
 	}
 }

@@ -35,7 +35,6 @@ type setMember interface {
 	queryName() string
 	closeMember()
 	memberStats() SessionStats
-	setMemberWorkers(n int)
 }
 
 // QuerySet advances N queries over one deployment in lock-step. Create one
@@ -190,17 +189,6 @@ func (qs *QuerySet) Names() []string {
 		out[i] = m.queryName()
 	}
 	return out
-}
-
-// SetWorkers re-bounds every member session's wave-engine worker pool (see
-// WithWorkers). Like the advancing calls it must not overlap a running
-// round or stream — a Pool applies its budget between rounds.
-func (qs *QuerySet) SetWorkers(n int) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	for _, m := range qs.members {
-		m.setMemberWorkers(n)
-	}
 }
 
 // MemberStats returns each member's communication accounting snapshot, in

@@ -55,11 +55,6 @@ type engine[R any] interface {
 	sensors() int
 	deltaSize() int
 	stats() SessionStats
-	setWorkers(n int)
-	// close releases engine-owned resources (the wave engine's helper
-	// goroutines); called once by Session.Close after in-flight rounds
-	// drain.
-	close()
 }
 
 // Session runs collection rounds of one query over a deployment and reports
@@ -191,7 +186,6 @@ func (s *Session[R]) Close() {
 	close(s.done)
 	s.mu.Unlock()
 	s.active.Wait()
-	s.eng.close()
 	if s.stop != nil {
 		s.stop()
 		s.stop = nil
@@ -210,13 +204,6 @@ func (s *Session[R]) DeltaSize() int { return s.eng.deltaSize() }
 // QueryName returns the descriptor name of the query the session runs
 // ("Count", "Quantiles", …).
 func (s *Session[R]) QueryName() string { return s.name }
-
-// SetWorkers re-bounds the session's wave-engine worker pool (see
-// WithWorkers): n <= 0 selects GOMAXPROCS, 1 the sequential engine.
-// Answers never depend on the bound. Like the advancing calls it must not
-// overlap a running round or stream — a Pool applies its budget between
-// rounds.
-func (s *Session[R]) SetWorkers(n int) { s.eng.setWorkers(n) }
 
 // Stats returns a snapshot of the session's cumulative communication
 // accounting.
@@ -270,9 +257,6 @@ func (s *Session[R]) queryName() string { return s.name }
 
 // closeMember implements setMember.
 func (s *Session[R]) closeMember() { s.Close() }
-
-// setMemberWorkers implements setMember.
-func (s *Session[R]) setMemberWorkers(n int) { s.SetWorkers(n) }
 
 // memberStats implements setMember.
 func (s *Session[R]) memberStats() SessionStats { return s.eng.stats() }

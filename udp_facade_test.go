@@ -4,8 +4,7 @@ package tributarydelta_test
 // Deployment.UseUDPRuntime must yield sessions bit-identical to the
 // simulator, the option conflicts must be rejected, a QuerySet must hammer
 // the shared fleet through many lock-step rounds, and the query-set
-// multiplexer's SetStats swap must keep per-member accounting exact across a
-// mid-run SetWorkers rebound.
+// multiplexer's SetStats swap must keep per-member accounting exact.
 
 import (
 	"testing"
@@ -161,12 +160,12 @@ func TestQuerySetUDPHammer(t *testing.T) {
 	}
 }
 
-// TestMuxSetStatsAcrossSetWorkers is the regression for the multiplexer's
-// SetStats swap under a mid-run SetWorkers rebound: per-member receive
-// accounting over the shared concurrent runtime must match standalone
-// same-seed sessions exactly — before and after the worker-pool change, for
-// every member, with nothing skewed onto a neighbour's stats.
-func TestMuxSetStatsAcrossSetWorkers(t *testing.T) {
+// TestMuxSetStatsMatchStandalone is the regression for the multiplexer's
+// SetStats swap: per-member receive accounting over the shared concurrent
+// runtime, accumulated across two Run calls, must match standalone
+// same-seed sessions exactly — for every member, with nothing skewed onto a
+// neighbour's stats.
+func TestMuxSetStatsMatchStandalone(t *testing.T) {
 	const seed, half = 9, 10
 	dep := td.NewSyntheticDeployment(8, 180)
 	dep.SetGlobalLoss(0.3)
@@ -174,7 +173,6 @@ func TestMuxSetStatsAcrossSetWorkers(t *testing.T) {
 	set, _, _, _ := openSetTrio(t, dep, seed)
 	defer set.Close()
 	set.Run(0, half)
-	set.SetWorkers(3)
 	set.Run(half, half)
 	got := set.MemberStats()
 
@@ -182,7 +180,7 @@ func TestMuxSetStatsAcrossSetWorkers(t *testing.T) {
 	want := standaloneStats(t, dep, seed, value, 2*half)
 	for m := range got {
 		if got[m].RxFrames != want[m].RxFrames {
-			t.Fatalf("member %d: set rx frames %d, standalone %d (SetStats swap skewed across SetWorkers)",
+			t.Fatalf("member %d: set rx frames %d, standalone %d (SetStats swap skewed)",
 				m, got[m].RxFrames, want[m].RxFrames)
 		}
 		if got[m].TotalBytes != want[m].TotalBytes || got[m].Losses != want[m].Losses {
