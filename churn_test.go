@@ -2,8 +2,9 @@ package tributarydelta
 
 // Facade coverage for scripted node churn: a fixed WithChurn schedule —
 // deaths, rejoins and a mid-run re-parent riding the §4.2 adaptation — must
-// produce bit-identical answers across the sim/chan transports, must actually depress ground-truth contributions while nodes
-// are down, and infeasible schedules must be rejected at Open.
+// produce bit-identical answers across the sim/UDP transports, must actually
+// depress ground-truth contributions while nodes are down, and infeasible
+// schedules must be rejected at Open.
 
 import (
 	"strings"
@@ -63,37 +64,38 @@ func churnFixture(t *testing.T) (mk func() *Deployment, sched []ChurnEvent, down
 
 // TestChurnGoldenMatrix pins the determinism contract under churn: the fixed
 // schedule's 24 epochs — spanning two §4.2 adaptation periods — answer
-// bit-identically over the sim and concurrent-channel transports, and the
-// outage window demonstrably removes contributions relative to the same run
+// bit-identically over the simulator and the UDP fleet, and the outage
+// window demonstrably removes contributions relative to the same run
 // without churn.
 func TestChurnGoldenMatrix(t *testing.T) {
 	mk, sched, _ := churnFixture(t)
-	run := func(concurrent bool, churn []ChurnEvent) []Result[float64] {
+	run := func(shards int, churn []ChurnEvent) []Result[float64] {
 		s, err := Open(mk(), Count(), WithSeed(11),
-			WithConcurrentRuntime(concurrent), WithChurn(churn...))
+			WithUDPTransport(shards), WithChurn(churn...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if h := s.TransportHealth(); !h.Healthy() || len(h.Shards) != 0 {
-			t.Fatalf("in-process backend reported fleet health %+v", h)
+		res := s.Run(0, 24)
+		if h := s.TransportHealth(); !h.Healthy() || len(h.Shards) != shards {
+			t.Fatalf("%d-shard backend reported fleet health %+v", shards, h)
 		}
-		return s.Run(0, 24)
+		return res
 	}
 
-	ref := run(false, sched)
-	got := run(true, sched)
+	ref := run(0, sched)
+	got := run(4, sched)
 	for e := range ref {
 		if got[e].Answer != ref[e].Answer || got[e].TrueContrib != ref[e].TrueContrib ||
 			got[e].EstContrib != ref[e].EstContrib || got[e].DeltaSize != ref[e].DeltaSize {
-			t.Fatalf("chan transport epoch %d: %+v diverged from the simulator's %+v", e, got[e], ref[e])
+			t.Fatalf("udp transport epoch %d: %+v diverged from the simulator's %+v", e, got[e], ref[e])
 		}
 	}
 
 	// The schedule must have teeth: over the outage window the churned run's
 	// ground-truth contributions drop below the undisturbed run's (same seed,
 	// same loss realization — the only difference is the dead nodes).
-	base := run(false, nil)
+	base := run(0, nil)
 	churned, quiet := 0, 0
 	for e := 4; e < 9; e++ {
 		churned += ref[e].TrueContrib

@@ -18,15 +18,13 @@
 // node%50 — tdserve is a host for synthetic deployments, not a data plane
 // for real sensors; quantile answers report the 25/50/75/90/99th
 // percentiles). The "transport" field selects a deployment's delivery
-// backend: "sim" (the default synchronous simulator), "chan" (the
-// goroutine-per-node chan transport) or "udp" — a multi-process fleet where
-// nodes partition over "udpShards" shard runtimes (default 4) and every
-// frame travels as a real loopback datagram; all of them run deterministic
-// modes, so answers are identical across backends. The legacy
-// "concurrent": true is equivalent to "transport": "chan". With -tdnode
-// pointing at a built cmd/tdnode binary, UDP shards are spawned as separate
-// OS processes; without it they run as in-process goroutines over the same
-// sockets and protocol. The flags:
+// backend: "sim" (the default synchronous simulator) or "udp" — a
+// multi-process fleet where nodes partition over "udpShards" shard runtimes
+// (default 4) and every frame travels as a real loopback datagram; the UDP
+// fleet runs its deterministic mode, so answers are identical across
+// backends. With -tdnode pointing at a built cmd/tdnode binary, UDP shards
+// are spawned as separate OS processes; without it they run as in-process
+// goroutines over the same sockets and protocol. The flags:
 //
 //	tdserve -addr :8473 -workers 0 -tdnode ./tdnode
 //
@@ -59,11 +57,8 @@ type createRequest struct {
 	// Aggregates lists the queries of a multi-query deployment; they
 	// advance in lock-step sharing one loss realization per epoch.
 	Aggregates []string `json:"aggregates"`
-	// Concurrent selects the goroutine-per-node chan transport (legacy
-	// equivalent of Transport "chan").
-	Concurrent bool `json:"concurrent"`
-	// Transport selects the delivery backend: "sim" (default), "chan" or
-	// "udp". All run deterministic modes, so answers are identical.
+	// Transport selects the delivery backend: "sim" (default) or "udp".
+	// Both run deterministic modes, so answers are identical.
 	Transport string `json:"transport"`
 	// UDPShards is the shard-runtime count of a "udp" deployment (default
 	// 4, clamped to the sensor count).
@@ -205,12 +200,7 @@ func (s *server) buildSet(req createRequest) (*td.QuerySet, error) {
 	dep := td.NewSyntheticDeployment(req.Seed, req.Sensors)
 	dep.SetGlobalLoss(req.Loss)
 	switch strings.ToLower(req.Transport) {
-	case "":
-		dep.UseConcurrentRuntime(req.Concurrent)
-	case "sim":
-		dep.UseConcurrentRuntime(false)
-	case "chan":
-		dep.UseConcurrentRuntime(true)
+	case "", "sim":
 	case "udp":
 		shards := req.UDPShards
 		if shards <= 0 {
@@ -224,7 +214,7 @@ func (s *server) buildSet(req createRequest) (*td.QuerySet, error) {
 			dep.SetUDPNodeBinary(s.tdnode)
 		}
 	default:
-		return nil, fmt.Errorf("unknown transport %q (want sim, chan or udp)", req.Transport)
+		return nil, fmt.Errorf("unknown transport %q (want sim or udp)", req.Transport)
 	}
 	set := dep.NewQuerySet(req.Seed)
 	for _, name := range names {

@@ -23,14 +23,14 @@ func TestServeLifecycle(t *testing.T) {
 	defer pool.Close()
 	h := newServer(pool).routes()
 
-	// Create two deployments, one on the concurrent runtime.
+	// Create two deployments, one on the UDP runtime.
 	w := doJSON(t, h, "POST", "/v1/deployments",
 		`{"id":"a","sensors":150,"seed":1,"loss":0.25,"scheme":"TD","aggregate":"count"}`)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create a: %d %s", w.Code, w.Body)
 	}
 	w = doJSON(t, h, "POST", "/v1/deployments",
-		`{"id":"b","sensors":150,"seed":2,"loss":0.1,"scheme":"SD","aggregate":"sum","concurrent":true}`)
+		`{"id":"b","sensors":150,"seed":2,"loss":0.1,"scheme":"SD","aggregate":"sum","transport":"udp","udpShards":2}`)
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create b: %d %s", w.Code, w.Body)
 	}
@@ -76,7 +76,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("status = %+v, want 5 epochs ending %+v", st, results[4])
 	}
 
-	// The concurrent-runtime deployment answers like the simulator would.
+	// The UDP-runtime deployment advances like the simulator would.
 	w = doJSON(t, h, "POST", "/v1/deployments/b/run", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("run b: %d %s", w.Code, w.Body)
@@ -126,6 +126,13 @@ func TestServeUDPTransport(t *testing.T) {
 	}
 	if w = doJSON(t, h, "POST", "/v1/deployments", `{"id":"x","transport":"bogus"}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad transport: %d %s", w.Code, w.Body)
+	}
+	// "chan" names no backend and is rejected like any unknown transport.
+	w = doJSON(t, h, "POST", "/v1/deployments", `{"id":"x","transport":"chan"}`)
+	var e map[string]string
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest ||
+		e["error"] != `unknown transport "chan" (want sim or udp)` {
+		t.Fatalf("chan transport: %d %s", w.Code, w.Body)
 	}
 
 	var byID [2][]roundResponse

@@ -113,35 +113,6 @@ func ExampleNewMinSession() {
 	// Output: true
 }
 
-// The goroutine-per-node concurrent runtime is a drop-in replacement for
-// the synchronous simulator: same seeds, same losses, bit-identical
-// answers — only the frames now travel through per-node workers with an
-// epoch barrier.
-func ExampleDeployment_UseConcurrentRuntime() {
-	sim := td.NewSyntheticDeployment(5, 150)
-	sim.SetGlobalLoss(0.25)
-	simSession, err := td.NewCountSession(sim, td.SchemeTD, 5)
-	if err != nil {
-		panic(err)
-	}
-
-	conc := td.NewSyntheticDeployment(5, 150)
-	conc.SetGlobalLoss(0.25)
-	conc.UseConcurrentRuntime(true)
-	concSession, err := td.NewCountSession(conc, td.SchemeTD, 5)
-	if err != nil {
-		panic(err)
-	}
-	defer concSession.Close()
-
-	same := true
-	for e := 0; e < 5; e++ {
-		same = same && simSession.RunEpoch(e) == concSession.RunEpoch(e)
-	}
-	fmt.Println(same)
-	// Output: true
-}
-
 // A Pool hosts many independent deployments and advances them concurrently
 // under a shared worker budget — the multi-tenant shape cmd/tdserve exposes
 // over HTTP.

@@ -28,10 +28,8 @@ var statsTxFields = map[string]bool{
 	"Transmissions": true,
 	"Words":         true,
 	"Bytes":         true,
-	"PacketsSent":   true,
 	"Losses":        true,
 	"LevelBytes":    true,
-	"LevelWords":    true,
 	"txWords":       true,
 	"txBytes":       true,
 	"txLosses":      true,
@@ -41,7 +39,6 @@ var statsTxFields = map[string]bool{
 // concurrent receiver runtimes (that IS their contract), but still written
 // only by the dispatch packages.
 var statsRxFields = map[string]bool{
-	"InboxDrops": true,
 	"RxFrames":   true,
 	"RxBytes":    true,
 	"Duplicates": true,

@@ -23,5 +23,5 @@ func Record(st *network.Stats, level int) {
 // receive-side counters, which are atomic by contract — nothing reported.
 func Observe(st *network.Stats, level int) int64 {
 	atomic.AddInt64(&st.RxFrames[level], 1)
-	return st.Transmissions[level] + atomic.LoadInt64(&st.InboxDrops[level])
+	return st.Transmissions[level] + atomic.LoadInt64(&st.Duplicates[level])
 }

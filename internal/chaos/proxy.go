@@ -16,14 +16,11 @@ import (
 )
 
 // frameCount decodes how many envelope frames one data-plane datagram
-// carries: a 0xD8 batch holds its entry count, a single-frame datagram one.
-// The proxies' ground truth is frame-denominated because the transport's
-// Lost/Duplicates accounting is — dropping one batch datagram loses every
-// frame inside it.
+// carries: a 0xD8 batch holds its entry count; anything else carries none
+// the shard would accept. The proxies' ground truth is frame-denominated
+// because the transport's Lost/Duplicates accounting is — dropping one
+// batch datagram loses every frame inside it.
 func frameCount(pkt []byte) int64 {
-	if !wire.DatagramIsBatch(pkt) {
-		return 1
-	}
 	b, err := wire.DecodeDatagramBatch(pkt)
 	if err != nil {
 		return 0

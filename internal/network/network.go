@@ -2,8 +2,8 @@
 // evaluation (§7.1): per-link Bernoulli message loss drawn from a failure
 // model — Global(p), Regional(p1,p2), a distance-driven model for the
 // LabData scenario, or a timeline that switches models mid-run — plus the
-// TinyDB message accounting (48-byte packets, 12 32-bit words) used for the
-// energy comparisons in Table 1 and Figure 8.
+// byte and 32-bit word accounting used for the energy comparisons in
+// Table 1 and Figure 8.
 //
 // Every loss decision is a pure function of (seed, epoch, attempt, sender,
 // receiver), so simulations are reproducible regardless of the order in
@@ -19,19 +19,6 @@ import (
 	"tributarydelta/internal/wire"
 	"tributarydelta/internal/xrand"
 )
-
-// WordsPerPacket is the payload capacity of one TinyDB message: 48 bytes =
-// 12 32-bit words (§7.1).
-const WordsPerPacket = 12
-
-// Packets returns the number of 48-byte messages needed to carry the given
-// number of 32-bit words. Even an empty payload costs one packet (headers).
-func Packets(words int) int {
-	if words <= 0 {
-		return 1
-	}
-	return (words + WordsPerPacket - 1) / WordsPerPacket
-}
 
 // Model is a failure model: the probability that a message sent by node
 // `from` to node `to` during the given epoch is lost. Implementations must
@@ -212,10 +199,10 @@ func (v EpochView) Delivered(attempt, from, to int) bool {
 }
 
 // Stats accumulates the energy-side metrics of Table 1: per-node
-// transmission, byte, word and packet counts, plus per-schedule-level byte
-// loads. Bytes are measured from real encoded frames (see internal/wire);
-// Words and PacketsSent are derived from them, so the accounting can never
-// drift from what was actually transmitted.
+// transmission, byte and word counts, plus per-schedule-level byte loads.
+// Bytes are measured from real encoded frames (see internal/wire); Words
+// are derived from them, so the accounting can never drift from what was
+// actually transmitted.
 //
 // Concurrency contract (the mutex that guarded every counter in an earlier
 // revision measurably slowed the TAG hot path, so the accounting is now
@@ -225,11 +212,11 @@ func (v EpochView) Delivered(attempt, from, to int) bool {
 //     one goroutine at a time — the runner's dispatch goroutine, exactly
 //     mirroring the Transport.Deliver contract. They use plain adds, which
 //     is what keeps per-transmission recording nearly free.
-//   - The receive-side mutators (AddRxBytes, AddInboxDrop) are safe for
-//     concurrent use — transport backends record them from many node
-//     worker goroutines at once — and use atomic adds.
+//   - The receive-side mutators (AddRx, AddDuplicates) are safe for
+//     concurrent use and use atomic adds, so a backend may record them off
+//     the dispatch goroutine.
 //   - The exported counter slices and the transmit-side accessors
-//     (TotalWords, TotalBytes, TotalLosses, TotalPackets, Max*, AvgWords)
+//     (TotalWords, TotalBytes, TotalLosses, Max*, AvgWords)
 //     may be read only once the transmit writer has quiesced (after an
 //     epoch barrier or a completed run). Readers that race a running epoch
 //     — a streaming consumer polling a session's stats — use Snapshot,
@@ -239,17 +226,11 @@ type Stats struct {
 	Transmissions []int64 // radio sends (one per broadcast or unicast attempt)
 	Words         []int64 // 32-bit words of payload transmitted
 	Bytes         []int64 // encoded payload bytes transmitted
-	PacketsSent   []int64 // 48-byte TinyDB packets transmitted
 	// Losses[v] counts delivery attempts by sender v that did not reach
 	// their receiver — medium losses drawn from the failure model, plus any
 	// backend-side drops (each broadcast receiver that misses a frame counts
 	// as one loss by the sender).
 	Losses []int64
-	// InboxDrops[v] counts frames that survived the medium but were
-	// discarded because receiver v's bounded inbox was full — the
-	// radio-buffer overflow of a concurrent transport backend. InboxDrops
-	// are the backend-side subset of the sender-side Losses accounting.
-	InboxDrops []int64
 	// RxFrames[v] and RxBytes[v] count the frames (and their encoded bytes)
 	// actually processed by receiver v's runtime.
 	RxFrames []int64
@@ -257,8 +238,8 @@ type Stats struct {
 	RxBytes []int64
 	// Duplicates[v] counts datagrams receiver v's runtime saw more than
 	// once within one barrier round — real network duplication, observable
-	// only on the multi-process UDP backend (the in-process transports
-	// cannot duplicate a frame). Duplicated frames are deduplicated before
+	// only on the multi-process UDP backend (the simulator cannot duplicate
+	// a frame). Duplicated frames are deduplicated before
 	// processing, so they never inflate RxFrames.
 	Duplicates []int64
 	// LevelBytes[l] is the total encoded bytes transmitted by senders
@@ -267,8 +248,6 @@ type Stats struct {
 	// schedule — so recording never grows it; levels never observed stay
 	// zero.
 	LevelBytes []int64
-	// LevelWords is the word-denominated companion of LevelBytes.
-	LevelWords []int64
 
 	// Plain running totals maintained by the transmit writer alongside the
 	// per-node counters, so Publish is a handful of stores instead of a
@@ -287,8 +266,6 @@ type StatsSnapshot struct {
 	Words, Bytes int64
 	// Losses totals failed delivery attempts.
 	Losses int64
-	// InboxDrops totals bounded-inbox overflow drops.
-	InboxDrops int64
 	// RxFrames totals frames processed by receiver runtimes.
 	RxFrames int64
 	// Duplicates totals duplicated datagrams discarded by receiver runtimes
@@ -302,22 +279,18 @@ func NewStats(n int) *Stats {
 		Transmissions: make([]int64, n),
 		Words:         make([]int64, n),
 		Bytes:         make([]int64, n),
-		PacketsSent:   make([]int64, n),
 		Losses:        make([]int64, n),
-		InboxDrops:    make([]int64, n),
 		RxFrames:      make([]int64, n),
 		RxBytes:       make([]int64, n),
 		Duplicates:    make([]int64, n),
 		LevelBytes:    make([]int64, n),
-		LevelWords:    make([]int64, n),
 	}
 }
 
 // AddTxBytes records one transmission by node v at schedule level `level`
-// carrying an encoded frame of byteLen bytes. Word and packet counts are
-// derived from the byte length. A negative level means "no level" and
-// skips the per-level accounting; a level beyond the preallocated slots
-// panics (a schedule level is always below the node count — losing
+// carrying an encoded frame of byteLen bytes. The word count is derived
+// from the byte length. A negative level means "no level" and skips the
+// per-level accounting; a level beyond the preallocated slots panics (a schedule level is always below the node count — losing
 // Figure-8-style per-level tables silently would be worse than crashing).
 // Transmit-side: single writer, see the type docs.
 func (s *Stats) AddTxBytes(v, level, byteLen int) {
@@ -325,12 +298,10 @@ func (s *Stats) AddTxBytes(v, level, byteLen int) {
 	s.Transmissions[v]++
 	s.Words[v] += int64(words)
 	s.Bytes[v] += int64(byteLen)
-	s.PacketsSent[v] += int64(Packets(words))
 	s.txWords += int64(words)
 	s.txBytes += int64(byteLen)
 	if level >= 0 {
 		s.LevelBytes[level] += int64(byteLen)
-		s.LevelWords[level] += int64(words)
 	}
 }
 
@@ -358,28 +329,14 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Words:      s.pubWords.Load(),
 		Bytes:      s.pubBytes.Load(),
 		Losses:     s.pubLosses.Load(),
-		InboxDrops: s.atomicSum(s.InboxDrops),
 		RxFrames:   s.atomicSum(s.RxFrames),
 		Duplicates: s.atomicSum(s.Duplicates),
 	}
 }
 
-// AddInboxDrop records a frame that reached receiver v but overflowed its
-// bounded inbox. Receive-side: safe for concurrent use.
-func (s *Stats) AddInboxDrop(v int) {
-	atomic.AddInt64(&s.InboxDrops[v], 1)
-}
-
-// AddRxBytes records one frame of byteLen encoded bytes processed by
-// receiver v's runtime. Receive-side: safe for concurrent use.
-func (s *Stats) AddRxBytes(v, byteLen int) {
-	atomic.AddInt64(&s.RxFrames[v], 1)
-	atomic.AddInt64(&s.RxBytes[v], int64(byteLen))
-}
-
-// AddRx is the bulk form of AddRxBytes: frames processed frames totalling
-// byteLen encoded bytes at receiver v, applied in one pair of adds — the
-// shape a remote shard's barrier report arrives in. Receive-side: safe for
+// AddRx records frames processed frames totalling byteLen encoded bytes at
+// receiver v, applied in one pair of adds — the shape a remote shard's
+// barrier report arrives in. Receive-side: safe for
 // concurrent use.
 func (s *Stats) AddRx(v int, frames, byteLen int64) {
 	atomic.AddInt64(&s.RxFrames[v], frames)
@@ -431,10 +388,6 @@ func (s *Stats) TotalBytes() int64 { return s.sum(s.Bytes) }
 // TotalLosses returns the total failed delivery attempts across all senders.
 func (s *Stats) TotalLosses() int64 { return s.sum(s.Losses) }
 
-// TotalInboxDrops returns the total bounded-inbox overflow drops across all
-// receivers. It is safe under concurrent receive-side writers.
-func (s *Stats) TotalInboxDrops() int64 { return s.atomicSum(s.InboxDrops) }
-
 // TotalRxFrames returns the total frames processed by all receivers. It is
 // safe under concurrent receive-side writers.
 func (s *Stats) TotalRxFrames() int64 { return s.atomicSum(s.RxFrames) }
@@ -446,9 +399,6 @@ func (s *Stats) TotalDuplicates() int64 { return s.atomicSum(s.Duplicates) }
 // MaxBytes returns the largest per-node byte count — the byte-denominated
 // "maximum load" of Figure 8.
 func (s *Stats) MaxBytes() int64 { return s.max(s.Bytes) }
-
-// TotalPackets returns the total packets transmitted by all nodes.
-func (s *Stats) TotalPackets() int64 { return s.sum(s.PacketsSent) }
 
 // MaxWords returns the largest per-node word count — the "maximum load" of
 // Figure 8.

@@ -8,17 +8,6 @@ import (
 	"tributarydelta/internal/topo"
 )
 
-func TestPackets(t *testing.T) {
-	cases := []struct{ words, want int }{
-		{0, 1}, {-3, 1}, {1, 1}, {12, 1}, {13, 2}, {24, 2}, {25, 3}, {120, 10},
-	}
-	for _, c := range cases {
-		if got := Packets(c.words); got != c.want {
-			t.Errorf("Packets(%d) = %d, want %d", c.words, got, c.want)
-		}
-	}
-}
-
 func TestGlobalModel(t *testing.T) {
 	m := Global{P: 0.3}
 	if m.LossRate(0, 1, 2) != 0.3 || m.LossRate(99, 5, 6) != 0.3 {
@@ -156,23 +145,17 @@ func TestDeliveredRates(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	s := NewStats(4)
-	s.AddTxBytes(1, 1, 20) // 5 words, 1 packet
-	s.AddTxBytes(1, 1, 52) // 13 words, 2 packets
-	s.AddTxBytes(2, 1, 0)  // empty frame still costs a packet
+	s.AddTxBytes(1, 1, 20) // 5 words
+	s.AddTxBytes(1, 1, 52) // 13 words
+	s.AddTxBytes(2, 1, 0)  // empty frame: a transmission, no words
 	if s.Transmissions[1] != 2 || s.Transmissions[2] != 1 {
 		t.Fatal("transmission counts wrong")
 	}
 	if s.Words[1] != 18 {
 		t.Fatalf("words[1] = %d, want 18", s.Words[1])
 	}
-	if s.PacketsSent[1] != 3 { // 1 packet + 2 packets
-		t.Fatalf("packets[1] = %d, want 3", s.PacketsSent[1])
-	}
 	if s.TotalWords() != 18 {
 		t.Fatal("total words wrong")
-	}
-	if s.TotalPackets() != 4 {
-		t.Fatalf("total packets = %d, want 4", s.TotalPackets())
 	}
 	if s.MaxWords() != 18 {
 		t.Fatal("max words wrong")
@@ -184,17 +167,14 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestStatsByteAccounting(t *testing.T) {
 	s := NewStats(4)
-	s.AddTxBytes(1, 2, 9)  // 9 bytes = 3 words = 1 packet
-	s.AddTxBytes(1, 3, 49) // 49 bytes = 13 words = 2 packets
-	s.AddTxBytes(2, 2, 0)  // empty frame still costs a packet
+	s.AddTxBytes(1, 2, 9)  // 9 bytes = 3 words
+	s.AddTxBytes(1, 3, 49) // 49 bytes = 13 words
+	s.AddTxBytes(2, 2, 0)  // empty frame
 	if s.Bytes[1] != 58 || s.Bytes[2] != 0 {
 		t.Fatalf("bytes = %v", s.Bytes)
 	}
 	if s.Words[1] != 16 {
 		t.Fatalf("words[1] = %d, want 16 (derived from bytes)", s.Words[1])
-	}
-	if s.PacketsSent[1] != 3 {
-		t.Fatalf("packets[1] = %d, want 3", s.PacketsSent[1])
 	}
 	if s.TotalBytes() != 58 || s.MaxBytes() != 58 {
 		t.Fatalf("total/max bytes = %d/%d, want 58/58", s.TotalBytes(), s.MaxBytes())
@@ -203,9 +183,6 @@ func TestStatsByteAccounting(t *testing.T) {
 	// possible schedule level is n−1), never grown by recording.
 	if len(s.LevelBytes) != 4 || s.LevelBytes[2] != 9 || s.LevelBytes[3] != 49 {
 		t.Fatalf("level bytes = %v", s.LevelBytes)
-	}
-	if s.LevelWords[2] != 3 || s.LevelWords[3] != 13 {
-		t.Fatalf("level words = %v", s.LevelWords)
 	}
 	// A level at or beyond the slot count is a caller bug and must be loud,
 	// not silently unaccounted.

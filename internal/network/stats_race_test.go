@@ -42,8 +42,8 @@ func TestStatsConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			v := g % nodes
 			for i := 0; i < iters; i++ {
-				s.AddInboxDrop(v)
-				s.AddRxBytes(v, 9)
+				s.AddDuplicates(v, 1)
+				s.AddRx(v, 1, 9)
 				if i%50 == 0 {
 					// Mid-flight reads race the writers; they only need
 					// to be consistent, not exact.
@@ -51,7 +51,7 @@ func TestStatsConcurrentHammer(t *testing.T) {
 					if snap.Bytes < 0 || snap.Losses < 0 {
 						t.Error("snapshot went negative")
 					}
-					_ = s.TotalInboxDrops()
+					_ = s.TotalDuplicates()
 					_ = s.TotalRxFrames()
 				}
 			}
@@ -66,15 +66,15 @@ func TestStatsConcurrentHammer(t *testing.T) {
 	if got := s.TotalLosses(); got != total {
 		t.Fatalf("TotalLosses = %d, want %d", got, total)
 	}
-	if got := s.TotalInboxDrops(); got != total {
-		t.Fatalf("TotalInboxDrops = %d, want %d", got, total)
+	if got := s.TotalDuplicates(); got != total {
+		t.Fatalf("TotalDuplicates = %d, want %d", got, total)
 	}
 	if got := s.TotalRxFrames(); got != total {
 		t.Fatalf("TotalRxFrames = %d, want %d", got, total)
 	}
 	// After the final Publish, the snapshot is exact.
 	snap := s.Snapshot()
-	if snap.Bytes != total*9 || snap.Losses != total || snap.InboxDrops != total || snap.RxFrames != total {
+	if snap.Bytes != total*9 || snap.Losses != total || snap.Duplicates != total || snap.RxFrames != total {
 		t.Fatalf("final snapshot = %+v", snap)
 	}
 	var tx int64

@@ -25,7 +25,7 @@ func TestUDPEpochAllocBudget(t *testing.T) {
 	r := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 23,
 		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
 			c.AdaptEvery = 1 << 30
-			c.Transport = newDetUDP(t, c.Net, false)
+			c.Transport = newDetUDP(t, c.Net)
 		})
 	epoch := 0
 	for ; epoch < 50; epoch++ {

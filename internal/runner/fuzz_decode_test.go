@@ -95,7 +95,7 @@ func synopsisDecoders(f fixture) []fuzzDecoder {
 // encoding — a decoder error may never be sticky.
 func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder) {
 	for _, d := range decoders {
-		f.Add(wire.AppendDatagram(nil, 1, 0, 5, wire.AppendEnvelope(nil, &wire.Envelope{
+		f.Add(wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 0), 5, wire.AppendEnvelope(nil, &wire.Envelope{
 			Kind: wire.KindTree, From: 2, Contrib: 1, Payload: d.good,
 		})))
 		f.Add(d.good)
@@ -106,10 +106,12 @@ func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder) {
 	var dec wire.Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payloads := [][]byte{data}
-		if d, err := wire.DecodeDatagram(data); err == nil {
-			dec.Reset()
-			if env, err := dec.Decode(d.Frame); err == nil {
-				payloads = append(payloads, env.Payload, env.ContribSketch)
+		if b, err := wire.DecodeDatagramBatch(data); err == nil {
+			for b.Next() {
+				dec.Reset()
+				if env, err := dec.Decode(b.Frame()); err == nil {
+					payloads = append(payloads, env.Payload, env.ContribSketch)
+				}
 			}
 		}
 		for _, fd := range decoders {

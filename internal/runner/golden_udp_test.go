@@ -9,11 +9,9 @@ import (
 
 // newDetUDP opens a deterministic 4-shard in-process UDP fleet over nw,
 // closed — and checked for a sticky transport error — at test cleanup.
-func newDetUDP(t *testing.T, nw *network.Net, noBatch bool) *transport.UDP {
+func newDetUDP(t *testing.T, nw *network.Net) *transport.UDP {
 	t.Helper()
-	u, err := transport.NewUDP(nw, transport.UDPOptions{
-		Deterministic: true, Shards: 4, NoBatching: noBatch,
-	})
+	u, err := transport.NewUDP(nw, transport.UDPOptions{Deterministic: true, Shards: 4})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
 	}
@@ -29,21 +27,13 @@ func newDetUDP(t *testing.T, nw *network.Net, noBatch bool) *transport.UDP {
 // TestGoldenAnswersUDPTransport re-runs the golden workloads (4 schemes ×
 // seeds 1–3) with the multi-process UDP transport in deterministic mode —
 // real loopback datagrams, an in-process shard fleet, the barrier protocol
-// — and compares against the very same golden file, with datagram
-// coalescing both on and off. The Deliver verdict comes from the same seeded loss hash as the
-// simulator and the chan transport, and the exactly-once barrier guarantees
-// the data plane keeps up, so not a single answer may move — batched or not.
+// — and compares against the very same golden file. The Deliver verdict
+// comes from the same seeded loss hash as the simulator, and the
+// exactly-once barrier guarantees the data plane keeps up, so not a single
+// answer may move.
 func TestGoldenAnswersUDPTransport(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		name := "batched"
-		if noBatch {
-			name = "unbatched"
-		}
-		t.Run(name, func(t *testing.T) {
-			got := goldenRuns(t, func(nw *network.Net) Transport {
-				return newDetUDP(t, nw, noBatch)
-			})
-			compareGolden(t, got)
-		})
-	}
+	got := goldenRuns(t, func(nw *network.Net) Transport {
+		return newDetUDP(t, nw)
+	})
+	compareGolden(t, got)
 }

@@ -5,8 +5,8 @@ import "tributarydelta/internal/network"
 // Mux multiplexes several runners — the members of a query set — over one
 // delivery backend, so N simultaneous queries on one deployment share a
 // single loss realization per epoch: every member's Deliver for a given
-// (epoch, attempt, from, to) consults the same Transport, and a concurrent
-// backend's node runtime is spawned once, not once per query.
+// (epoch, attempt, from, to) consults the same Transport, and a networked
+// backend's shard fleet is spawned once, not once per query.
 //
 // Members run strictly sequentially within a round (the query-set contract):
 // each member's port brackets its sub-round with the backend's epoch
@@ -23,7 +23,7 @@ type Mux struct {
 
 // StatsSetter is implemented by delivery backends whose receive-side
 // accounting target can be redirected while the backend is quiescent (all
-// delivered frames processed) — transport.Chan implements it.
+// delivered frames processed) — transport.UDP implements it.
 type StatsSetter interface {
 	SetStats(*network.Stats)
 }

@@ -13,7 +13,8 @@
 // length, losses drop whole frames, and receivers decode actual bytes. The
 // codecs are lossless, so results are bit-identical to an in-memory
 // hand-off — but sizes can never drift from reality, and the Transport seam
-// lets a future networked backend replace the in-process simulator.
+// lets the UDP backend (internal/transport) replace the in-process
+// simulator.
 //
 // An epoch runs on the calling goroutine as one sequential loop over the
 // level slots, deepest first — ring l sends only after ring l+1, so a
@@ -405,8 +406,8 @@ func (p *contribSketchPool) get() *sketch.Sketch {
 
 // Transport is the delivery seam between the runner and the medium: it
 // carries an already-encoded frame and reports whether it reached the
-// receiver. The in-process implementation consults the loss model; a
-// networked backend would put the frame on a real socket.
+// receiver. The in-process implementation consults the loss model; the UDP
+// backend puts the frame on a real socket.
 //
 // The runner calls Deliver from the goroutine running the epoch, level by
 // level (deepest first) and, for tree unicasts, once per retransmission
@@ -421,7 +422,7 @@ type Transport interface {
 }
 
 // EpochMarker is an optional Transport extension: the runner brackets every
-// collection round with BeginEpoch/EndEpoch so concurrent backends can
+// collection round with BeginEpoch/EndEpoch so networked backends can
 // maintain an epoch barrier — every frame delivered during epoch e is fully
 // processed by its receiver's runtime before EndEpoch(e) returns, and hence
 // before epoch e+1 begins.

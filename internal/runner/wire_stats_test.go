@@ -85,7 +85,7 @@ func TestTotalBytesSimVsUDP(t *testing.T) {
 	sim := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 36)
 	udp := countRunner(t, f, ModeTD, network.Global{P: 0.2}, 36,
 		func(c *Config[struct{}, int64, *sketch.Sketch, float64]) {
-			c.Transport = newDetUDP(t, c.Net, false)
+			c.Transport = newDetUDP(t, c.Net)
 		})
 	rs, ru := sim.Run(50), udp.Run(50)
 	for i := range rs {
@@ -112,12 +112,8 @@ func TestPerLevelByteAccounting(t *testing.T) {
 		t.Fatal("no per-level accounting")
 	}
 	var sum int64
-	for l, b := range r.Stats.LevelBytes {
+	for _, b := range r.Stats.LevelBytes {
 		sum += b
-		// Per frame, words = ceil(bytes/4), so 4·words always covers bytes.
-		if 4*r.Stats.LevelWords[l] < b {
-			t.Fatalf("level %d: words %d inconsistent with bytes %d", l, r.Stats.LevelWords[l], b)
-		}
 	}
 	if sum != r.Stats.TotalBytes() {
 		t.Fatalf("level bytes sum %d != total %d", sum, r.Stats.TotalBytes())

@@ -28,16 +28,6 @@ import (
 // loses all of its frames at once) becomes one AddLoss, every duplicated
 // frame one AddDuplicates, reordering costs nothing.
 func TestUDPChaosAccounting(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		name := "batched"
-		if noBatch {
-			name = "unbatched"
-		}
-		t.Run(name, func(t *testing.T) { testUDPChaosAccounting(t, noBatch) })
-	}
-}
-
-func testUDPChaosAccounting(t *testing.T, noBatch bool) {
 	seed := uint64(7)
 	f := newFixture(seed, 80)
 	simNet := network.New(f.g, network.Global{P: 0}, seed)
@@ -53,7 +43,6 @@ func testUDPChaosAccounting(t *testing.T, noBatch bool) {
 	u, err := transport.NewUDP(udpNet, transport.UDPOptions{
 		Shards:      4,
 		Stats:       stats,
-		NoBatching:  noBatch,
 		DrainQuiet:  25 * time.Millisecond,
 		AddrRewrite: drv.AddrRewrite,
 	})

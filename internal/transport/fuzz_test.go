@@ -67,42 +67,64 @@ func checkShardInvariants(t *testing.T, s *shardState) {
 	}
 }
 
-// FuzzShardReceive throws arbitrary datagrams — any bytes at all — at the
-// shard receive path. The contract under attack: never panic, never allocate
-// proportionally to a hostile header field, and keep the round accounting
-// consistent no matter what arrives.
-func FuzzShardReceive(f *testing.F) {
-	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 3, Contrib: 1})
-	f.Add(wire.AppendDatagram(nil, 1, 0, 5, frame))                     // valid, node 5 lives on shard 1 of 4
-	f.Add(wire.AppendDatagram(nil, 1, 0, 6, frame))                     // wrong shard
-	f.Add(wire.AppendDatagram(nil, 1, wire.MaxDatagramSeq-1, 5, frame)) // max seq
-	f.Add(wire.AppendDatagram(nil, 9, 1, 5, []byte{0xff, 0xff}))        // corrupt envelope
-	f.Add(wire.AppendDatagram(nil, 1, 2, 1<<30, frame))                 // node out of range
-	f.Add([]byte{wire.DatagramMagic, wire.DatagramVersion, 0x80, 0x80}) // truncated varint
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newShardState(16, 4, 1, true, time.Millisecond)
-		var dec wire.Decoder
-		// Feed the input twice: the second pass exercises the dedup and
-		// stale-round branches against whatever state the first pass built.
-		for i := 0; i < 2; i++ {
-			s.handleDatagram(&dec, data)
-			dec.Reset()
-			checkShardInvariants(t, s)
-		}
-		// A flush for the current round must also survive whatever arrived
-		// (zero-wait: deterministic with everything already reported sent).
-		reply := s.flush(&ctrlMsg{Type: ctrlFlush, Round: s.round, Sent: s.unique})
-		if reply.Type != ctrlDone {
-			t.Fatalf("flush reply type %q", reply.Type)
-		}
-	})
+// retiredSingleFrameMagic is the first byte of the single-frame datagram
+// format the data plane no longer speaks; such datagrams must now be
+// counted malformed like any other stray packet.
+const retiredSingleFrameMagic = 0xD7
+
+// singleFrameDatagram encodes one datagram in the retired single-frame
+// layout — magic 0xD7, version, round, seq and receiver uvarints, then the
+// frame — so the hostile-input battery keeps covering it.
+func singleFrameDatagram(round uint64, seq, to int, frame []byte) []byte {
+	dst := []byte{retiredSingleFrameMagic, wire.DatagramVersion}
+	dst = wire.AppendUvarint(dst, round)
+	dst = wire.AppendUvarint(dst, uint64(seq))
+	dst = wire.AppendUvarint(dst, uint64(to))
+	return append(dst, frame...)
 }
 
-// FuzzShardReceiveBatch throws arbitrary bytes at the shard receive path's
-// batch branch (and, via the magic dispatch, everything else). The batch
-// decoder is streaming — a corrupt entry mid-batch must keep every frame
-// accepted before it, drop the rest, and count exactly one malformed for
-// the truncated tail; the round accounting invariants must hold throughout.
+// TestShardReceiveRejectsNonBatch pins the single data-plane framing: any
+// datagram that is not a well-formed batch header — the retired 0xD7
+// single-frame format, an empty datagram, a stray first byte — is counted
+// malformed exactly once and accepts no frame.
+func TestShardReceiveRejectsNonBatch(t *testing.T) {
+	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 3, Contrib: 1})
+	stray := wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 0), 5, frame)
+	stray[0] = 0x42
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"single-frame", singleFrameDatagram(1, 0, 5, frame)}, // valid in the retired format, node 5 on shard 1
+		{"empty", []byte{}},
+		{"stray-first-byte", stray},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := newShardState(16, 4, 1, true, time.Millisecond)
+			var dec wire.Decoder
+			s.handleBatch(&dec, c.data)
+			if s.malformed != 1 || s.unique != 0 || s.received != 0 {
+				t.Fatalf("malformed=%d unique=%d received=%d, want 1/0/0", s.malformed, s.unique, s.received)
+			}
+			for li, n := range s.rxFrames {
+				if n != 0 {
+					t.Fatalf("local node %d: %d frames accepted", li, n)
+				}
+			}
+			checkShardInvariants(t, s)
+		})
+	}
+}
+
+// FuzzShardReceiveBatch throws arbitrary datagrams — any bytes at all — at
+// the shard receive path. The contract under attack: never panic, never
+// allocate proportionally to a hostile header field, and keep the round
+// accounting consistent no matter what arrives. The batch decoder is
+// streaming — a corrupt entry mid-batch must keep every frame accepted
+// before it, drop the rest, and count exactly one malformed for the
+// truncated tail. Seeds cover well-formed and hostile batches plus the
+// retired single-frame format, which must be rejected as malformed.
 func FuzzShardReceiveBatch(f *testing.F) {
 	frame := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 3, Contrib: 1})
 	batch := wire.AppendDatagramBatch(nil, 1, 0)
@@ -119,13 +141,24 @@ func FuzzShardReceiveBatch(f *testing.F) {
 	f.Add(mixed)
 	f.Add(wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, wire.MaxDatagramSeq-1), 5, frame)) // last legal seq
 	f.Add([]byte{wire.DatagramBatchMagic, wire.DatagramVersion, 0x80, 0x80})                        // truncated varint
+	// The retired single-frame format: malformed, whatever it carries.
+	f.Add(singleFrameDatagram(1, 0, 5, frame))                               // well-formed, node 5 lives on shard 1 of 4
+	f.Add(singleFrameDatagram(1, 0, 6, frame))                               // wrong shard
+	f.Add(singleFrameDatagram(1, wire.MaxDatagramSeq-1, 5, frame))           // max seq
+	f.Add(singleFrameDatagram(9, 1, 5, []byte{0xff, 0xff}))                  // corrupt envelope
+	f.Add(singleFrameDatagram(1, 2, 1<<30, frame))                           // node out of range
+	f.Add([]byte{retiredSingleFrameMagic, wire.DatagramVersion, 0x80, 0x80}) // truncated varint
+	f.Add(singleFrameDatagram(1, 0, 17, frame))
+	f.Add(singleFrameDatagram(1<<30, wire.MaxDatagramSeq-1, 0, nil))
+	f.Add([]byte{retiredSingleFrameMagic, wire.DatagramVersion})
+	f.Add([]byte{retiredSingleFrameMagic, wire.DatagramVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newShardState(16, 4, 1, true, time.Millisecond)
 		var dec wire.Decoder
 		// Feed the input twice: the second pass exercises the dedup and
 		// stale-round branches against whatever state the first pass built.
 		for i := 0; i < 2; i++ {
-			s.handleDatagram(&dec, data)
+			s.handleBatch(&dec, data)
 			dec.Reset()
 			checkShardInvariants(t, s)
 		}
@@ -145,7 +178,7 @@ func FuzzShardReceiveBatch(f *testing.F) {
 }
 
 // FuzzEnvelopeDecode drives arbitrary bytes through the full receive path as
-// the envelope of an otherwise valid datagram: wire.Decoder.Decode on hostile
+// the envelope of an otherwise valid one-frame batch datagram: wire.Decoder.Decode on hostile
 // input must return an error — never panic, never poison later decodes on the
 // same reused decoder — and the shard must count exactly one malformed drop
 // or one accepted frame per datagram.
@@ -164,14 +197,14 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s := newShardState(16, 4, 1, false, time.Millisecond)
 		var dec wire.Decoder
-		s.handleDatagram(&dec, wire.AppendDatagram(nil, 1, 0, 5, payload))
+		s.handleBatch(&dec, wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 0), 5, payload))
 		dec.Reset()
 		if s.malformed+int64(s.unique) != 1 {
 			t.Fatalf("one datagram produced malformed=%d unique=%d", s.malformed, s.unique)
 		}
 		checkShardInvariants(t, s)
 		// The same decoder must remain sound for a subsequent valid frame.
-		s.handleDatagram(&dec, wire.AppendDatagram(nil, 1, 1, 5, good))
+		s.handleBatch(&dec, wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 1), 5, good))
 		if s.malformed+int64(s.unique) != 2 {
 			t.Fatalf("decoder poisoned: malformed=%d unique=%d after valid follow-up", s.malformed, s.unique)
 		}

@@ -3,10 +3,10 @@ package transport
 // The UDP backend's shard runtime: one process (or goroutine) hosting the
 // receive side of a contiguous residue class of nodes (node v lives on
 // shard v mod shards). The shard listens on its own UDP socket, decodes and
-// deduplicates every arriving frame — datagrams carry either a single frame
-// (0xD7) or a coalesced batch of them (0xD8) — and answers the parent's
-// barrier flushes over the control channel with receipts, missing sequence
-// ranges and per-node receive deltas.
+// deduplicates every arriving frame — each datagram is a coalesced batch of
+// frames (wire's 0xD8 framing) — and answers the parent's barrier flushes
+// over the control channel with receipts, missing sequence ranges and
+// per-node receive deltas.
 //
 // Everything read from the UDP socket is untrusted: the datagram header,
 // the batch entries and the enclosed envelopes are decoded with the
@@ -14,10 +14,7 @@ package transport
 // varint, out-of-range node, corrupt envelope — increments a malformed
 // counter and drops the frame (a hostile entry inside a batch drops only
 // itself; the rest of the batch is still honored). The receive path must
-// never panic on arbitrary bytes (FuzzShardReceive and
-// FuzzShardReceiveBatch pin this), unlike the in-process Chan transport,
-// which only ever carries frames the runner itself encoded and treats
-// corruption as a bug.
+// never panic on arbitrary bytes; FuzzShardReceiveBatch pins this.
 
 import (
 	"fmt"
@@ -190,44 +187,20 @@ func (s *shardState) receive() {
 			return
 		}
 		for i := 0; i < n; i++ {
-			s.handleDatagram(&dec, rcv.Datagram(i))
+			s.handleBatch(&dec, rcv.Datagram(i))
 		}
 	}
 }
 
-// handleDatagram dispatches one datagram of arbitrary (untrusted) bytes on
-// its magic: a coalesced batch or the single-frame format. Malformed input
-// of any shape is counted and dropped; nothing here may panic or allocate
-// proportionally to a hostile header field.
-//
-//td:hotpath
-func (s *shardState) handleDatagram(dec *wire.Decoder, data []byte) {
-	if wire.DatagramIsBatch(data) {
-		s.handleBatch(dec, data)
-		return
-	}
-	d, err := wire.DecodeDatagram(data)
-	if err != nil || !s.frameOK(dec, d.To, d.Frame) {
-		s.addMalformed()
-		return
-	}
-	s.mu.Lock()
-	if !s.enterRoundLocked(d.Round) {
-		s.mu.Unlock()
-		return
-	}
-	s.acceptLocked(d.Seq, d.To, len(d.Frame))
-	s.stampArrivalLocked()
-	s.mu.Unlock()
-	s.wake()
-}
-
-// handleBatch validates, deduplicates and accounts every frame of one batch
-// datagram. A hostile entry drops only itself (counted malformed); a
-// malformed tail after the last decodable entry counts once. The whole
+// handleBatch validates, deduplicates and accounts every frame of one
+// datagram of arbitrary (untrusted) bytes. Anything that is not a
+// well-formed batch header — wrong magic, empty, truncated — counts
+// malformed once; a hostile entry drops only itself (counted malformed); a
+// malformed tail after the last decodable entry counts once. Nothing here
+// may panic or allocate proportionally to a hostile header field. The whole
 // batch shares one round check — the parent never mixes rounds within a
 // datagram, and a straggler batch from a superseded round is counted stale
-// once, like a straggler single.
+// once.
 //
 //td:hotpath
 func (s *shardState) handleBatch(dec *wire.Decoder, data []byte) {

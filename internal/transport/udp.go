@@ -1,12 +1,15 @@
+// Package transport provides the UDP delivery backend for the runner's
+// Transport seam — the one real node runtime beside the in-process
+// simulator, which answers "did this frame arrive?" from the deterministic
+// loss model while nothing actually moves. See DESIGN.md §5.
 package transport
 
-// UDP is the third Transport backend: the node runtime leaves the process.
-// Nodes are partitioned into shards (node v lives on shard v mod Shards),
-// each shard is a separate OS process (or, with the default in-process
-// spawner, a goroutine that still speaks real loopback sockets), and every
-// delivery is a real UDP frame — the first configuration where packet
-// loss, reordering and duplication are physical events rather than hash
-// draws.
+// UDP is the networked Transport backend: the node runtime leaves the
+// process. Nodes are partitioned into shards (node v lives on shard v mod
+// Shards), each shard is a separate OS process (or, with the default
+// in-process spawner, a goroutine that still speaks real loopback sockets),
+// and every delivery is a real UDP frame — packet loss, reordering and
+// duplication are physical events rather than hash draws.
 //
 // Topology is a star: only the parent (the runner host) transmits, because
 // the runner's Transport seam hands it every frame already routed — shards
@@ -21,15 +24,13 @@ package transport
 // of syscalls instead of hundreds. Because a batch's frames carry
 // consecutive sequence numbers, a lost datagram surfaces at the barrier as
 // a contiguous missing *range*, and retransmission resends whole datagram
-// images. NoBatching restores the PR 7 one-frame-per-datagram path — the
-// A/B lever golden tests and tdbench compare against; answers are
-// bit-identical either way.
+// images.
 //
-// Two modes, exactly like Chan:
+// Two modes:
 //
 //   - Deterministic: the Deliver verdict comes from the seeded loss model
-//     (the same hash as the simulator and Chan, so answers are pinned
-//     bit-identical to the golden file), and every surviving frame is
+//     (the same hash as the simulator, so answers are pinned bit-identical
+//     to the golden file), and every surviving frame is
 //     delivered to its shard exactly once — the barrier retransmits any
 //     datagram the loopback medium itself dropped, and the shard's
 //     per-round dedup absorbs the replays, keeping the receive-side
@@ -39,8 +40,8 @@ package transport
 //     discovered at the epoch barrier — each shard drains a quiet period,
 //     reports the missing sequence ranges, and the parent attributes one
 //     loss to each missing frame's sender (and one duplicate to each
-//     replayed one), feeding the same network.Stats that the in-process
-//     backends feed.
+//     replayed one), feeding the same network.Stats that the simulator
+//     feeds.
 //
 // The fleet is self-healing: a shard that fails its barrier is declared
 // dead — that round's frames are attributed as losses — and handed to a
@@ -93,14 +94,14 @@ type UDPOptions struct {
 	Shards int
 	// Deterministic selects the exactly-once barrier with the seeded loss
 	// model deciding Deliver verdicts, making answers bit-identical to the
-	// in-process backends. Free-running mode (false) sends optimistically
+	// in-process simulator. Free-running mode (false) sends optimistically
 	// and discovers real losses/duplicates at the barrier.
 	Deterministic bool
 	// Stats, if non-nil, receives the backend-side accounting: per-node
 	// receive deltas (AddRx), duplicates (AddDuplicates) and — in
 	// free-running mode — real frame losses (AddLoss, applied at the
 	// barrier on the dispatch goroutine). Swappable via SetStats at the
-	// epoch barrier, like Chan.
+	// epoch barrier.
 	Stats *network.Stats
 	// Spawn launches each shard runtime; nil selects the in-process
 	// default. The supervisor reuses it to respawn failed shards, so it
@@ -113,11 +114,6 @@ type UDPOptions struct {
 	// frame that cannot fit even alone fails its delivery and sets the
 	// transport's sticky error.
 	MaxDatagram int
-	// NoBatching disables datagram coalescing: every frame travels as its
-	// own single-frame (0xD7) datagram, the PR 7 data plane. The A/B lever
-	// for golden parity tests and benchmarks; answers and accounting are
-	// identical either way, only datagram and syscall counts differ.
-	NoBatching bool
 	// DrainQuiet is the free-running barrier's quiet window: a shard
 	// reports its round once no datagram has arrived for this long. <= 0
 	// means 5ms. Chaos tests raise it to out-wait their proxy's reordering.
@@ -144,9 +140,7 @@ type UDPOptions struct {
 	RespawnBackoffMax time.Duration
 	// MaxRespawns bounds the consecutive failed respawn attempts per
 	// failure episode before the shard is declared permanently failed
-	// (which does set the sticky error). 0 means 8; negative disables
-	// supervision entirely — the first shard death sets the sticky error
-	// and the shard stays down, the pre-supervision behavior.
+	// (which does set the sticky error). 0 means 8; must be >= 0.
 	MaxRespawns int
 	// AddrRewrite, if set, maps each shard's advertised UDP address to the
 	// address the parent actually sends to — the seam a chaos-proxy test
@@ -179,8 +173,8 @@ const (
 	// reaping the old runtime and respawning a replacement. Frames bound
 	// for the shard are attributed as losses until it rejoins.
 	ShardRespawning ShardState = "respawning"
-	// ShardFailed: permanently failed — the respawn budget is exhausted or
-	// supervision is disabled. The transport's sticky error is set.
+	// ShardFailed: permanently failed — the respawn budget is exhausted.
+	// The transport's sticky error is set.
 	ShardFailed ShardState = "failed"
 )
 
@@ -308,7 +302,8 @@ type udpShard struct {
 type UDP struct {
 	nw   *network.Net
 	opts UDPOptions
-	// view caches the current epoch's delivery view, exactly like Chan.
+	// view caches the current epoch's delivery view (the pre-folded loss
+	// hash prefix); touched only by the dispatch goroutine inside Deliver.
 	view      network.EpochView
 	viewEpoch int
 	viewSet   bool
@@ -381,6 +376,9 @@ func NewUDP(nw *network.Net, opts UDPOptions) (*UDP, error) {
 	}
 	if opts.RespawnBackoffMax < opts.RespawnBackoff {
 		return nil, fmt.Errorf("transport: RespawnBackoffMax %v below RespawnBackoff %v", opts.RespawnBackoffMax, opts.RespawnBackoff)
+	}
+	if opts.MaxRespawns < 0 {
+		return nil, fmt.Errorf("transport: negative MaxRespawns %d", opts.MaxRespawns)
 	}
 	if opts.MaxRespawns == 0 {
 		opts.MaxRespawns = defaultMaxRespawns
@@ -538,9 +536,9 @@ func (u *UDP) acceptJoins() {
 	}
 }
 
-// nextBuf returns a recycled datagram buffer for the shard's next sealed
-// datagram: the hidden capacity slot of dgrams, if one survives from a
-// previous round, truncated to zero length. seal must be the next dgrams
+// nextBuf returns a recycled datagram buffer for the shard's next batch:
+// the hidden capacity slot of dgrams, if one survives from a previous
+// round, truncated to zero length. sealBatch must be the next dgrams
 // mutation (Deliver's batch building guarantees it: one open batch per
 // shard, sealed in order).
 func (sh *udpShard) nextBuf() []byte {
@@ -553,20 +551,16 @@ func (sh *udpShard) nextBuf() []byte {
 	return nil
 }
 
-// seal records one finished datagram image — retransmission store and send
-// queue entry — with base as its first sequence number.
-func (u *UDP) seal(sh *udpShard, buf []byte, base int) {
-	sh.dgrams = append(sh.dgrams, buf)
-	sh.dgramBase = append(sh.dgramBase, base)
-	u.pending = append(u.pending, batchio.Message{Buf: buf, Addr: sh.addr})
-}
-
-// sealBatch closes the shard's building batch, if any.
+// sealBatch closes the shard's building batch, if any, recording the
+// finished datagram image — retransmission store and send queue entry —
+// with its first sequence number.
 func (u *UDP) sealBatch(sh *udpShard) {
 	if sh.batchN == 0 {
 		return
 	}
-	u.seal(sh, sh.batch, sh.batchBase)
+	sh.dgrams = append(sh.dgrams, sh.batch)
+	sh.dgramBase = append(sh.dgramBase, sh.batchBase)
+	u.pending = append(u.pending, batchio.Message{Buf: sh.batch, Addr: sh.addr})
 	sh.batch = nil
 	sh.batchN = 0
 }
@@ -576,7 +570,7 @@ func (u *UDP) sealBatch(sh *udpShard) {
 // barrier guarantees exactly-once arrival); in free-running mode every
 // frame is queued and optimistically reported delivered — the barrier
 // settles what was really lost. Frames accumulate into batch datagrams
-// (unless NoBatching) and hit the socket at EndEpoch; a false return on a
+// and hit the socket at EndEpoch; a false return on a
 // dead shard or oversized frame lets the runner account the loss as usual.
 func (u *UDP) Deliver(epoch, attempt, from, to int, frame []byte) bool {
 	if u.opts.Deterministic {
@@ -599,31 +593,21 @@ func (u *UDP) Deliver(epoch, attempt, from, to int, frame []byte) bool {
 		u.setErr(fmt.Errorf("transport: round %d exceeded %d frames to shard %d", u.round, wire.MaxDatagramSeq, sh.id))
 		return false
 	}
-	if u.opts.NoBatching {
-		buf := wire.AppendDatagram(sh.nextBuf(), u.round, seq, to, frame)
-		if len(buf) > sh.maxDatagram {
-			u.setErr(fmt.Errorf("transport: frame of %d bytes exceeds shard %d's negotiated datagram size %d",
-				len(frame), sh.id, sh.maxDatagram))
-			return false
-		}
-		u.seal(sh, buf, seq)
-	} else {
-		need := wire.BatchFrameLen(to, len(frame))
-		if wire.DatagramBatchOverhead(u.round, seq)+need > sh.maxDatagram {
-			u.setErr(fmt.Errorf("transport: frame of %d bytes exceeds shard %d's negotiated datagram size %d",
-				len(frame), sh.id, sh.maxDatagram))
-			return false
-		}
-		if sh.batchN > 0 && len(sh.batch)+need > sh.maxDatagram {
-			u.sealBatch(sh)
-		}
-		if sh.batchN == 0 {
-			sh.batch = wire.AppendDatagramBatch(sh.nextBuf(), u.round, seq)
-			sh.batchBase = seq
-		}
-		sh.batch = wire.AppendBatchFrame(sh.batch, to, frame)
-		sh.batchN++
+	need := wire.BatchFrameLen(to, len(frame))
+	if wire.DatagramBatchOverhead(u.round, seq)+need > sh.maxDatagram {
+		u.setErr(fmt.Errorf("transport: frame of %d bytes exceeds shard %d's negotiated datagram size %d",
+			len(frame), sh.id, sh.maxDatagram))
+		return false
 	}
+	if sh.batchN > 0 && len(sh.batch)+need > sh.maxDatagram {
+		u.sealBatch(sh)
+	}
+	if sh.batchN == 0 {
+		sh.batch = wire.AppendDatagramBatch(sh.nextBuf(), u.round, seq)
+		sh.batchBase = seq
+	}
+	sh.batch = wire.AppendBatchFrame(sh.batch, to, frame)
+	sh.batchN++
 	sh.from = append(sh.from, int32(from))
 	sh.sent++
 	return true
@@ -743,16 +727,9 @@ func (u *UDP) EndEpoch(int) {
 // its control connection closes (so a stalled-but-alive runtime
 // self-terminates through its control-read error path), the health state
 // flips to respawning, and a supervisor goroutine takes over reaping and
-// respawning. With supervision disabled (MaxRespawns < 0) the shard
-// instead fails permanently with the sticky error — the pre-supervision
-// contract. Dispatch-goroutine-only.
+// respawning. Dispatch-goroutine-only.
 func (u *UDP) declareDead(sh *udpShard, cause error) {
 	sh.dead = true
-	if u.opts.MaxRespawns < 0 {
-		u.setShardState(sh.id, ShardFailed, cause)
-		u.setErr(fmt.Errorf("transport: shard %d: %w", sh.id, cause))
-		return
-	}
 	ctrl, proc := sh.ctrl, sh.proc
 	sh.ctrl, sh.proc = nil, nil
 	if ctrl != nil {
@@ -1062,15 +1039,15 @@ func (u *UDP) flushShard(sh *udpShard) error {
 }
 
 // SetStats redirects the backend-side accounting to s, implementing
-// runner.StatsSetter under the same quiescence contract as Chan: only
-// between EndEpoch and the next Deliver — exactly when a query-set mux port
-// swaps members. Every UDP accounting write happens on the dispatch
-// goroutine (at the barrier), so the swap needs no synchronization at all.
+// runner.StatsSetter: it must only be called between EndEpoch and the next
+// Deliver — exactly when a query-set mux port swaps members. Every UDP
+// accounting write happens on the dispatch goroutine (at the barrier), so
+// the swap needs no synchronization at all.
 func (u *UDP) SetStats(s *network.Stats) { u.opts.Stats = s }
 
 // Err returns the transport's sticky error: an oversized frame, a socket
-// failure, or a shard that failed permanently (respawn budget exhausted,
-// or supervision disabled). A shard death the supervisor recovers from is
+// failure, or a shard that failed permanently (respawn budget exhausted).
+// A shard death the supervisor recovers from is
 // NOT an error — its epochs-as-losses and the restart appear in Health
 // instead. A non-nil Err means some deliveries were force-counted as
 // losses; answers remain whatever the runner computed.

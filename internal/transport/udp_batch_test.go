@@ -7,6 +7,7 @@ package transport_test
 // sends are deferred to EndEpoch).
 
 import (
+	"errors"
 	"net"
 	"os"
 	"strings"
@@ -212,10 +213,11 @@ func (p *firstCopyDropProxy) addrStr() string { return p.ln.LocalAddr().String()
 // TestUDPShardDeathMidBatch kills one tdnode process after frames were
 // delivered into still-open batches but before the barrier — the deferred
 // sends hit a dead socket, the control channel is gone, and EndEpoch must
-// come back anyway: the round's frames attributed as losses, no hang. Run
-// with supervision disabled (MaxRespawns < 0) to pin the legacy contract:
-// the first death is a sticky error naming the shard and the shard stays
-// down. TestUDPFleetRecoversFromKill covers the supervised path.
+// come back anyway: the round's frames attributed as losses, no hang. Every
+// respawn of the dead shard fails, so with a one-attempt budget the
+// supervisor gives up: the shard is reported failed and the sticky error
+// names it, while the survivor keeps taking rounds.
+// TestUDPFleetRecoversFromKill covers the path where the respawn succeeds.
 func TestUDPShardDeathMidBatch(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -232,13 +234,17 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 		Deterministic:  true,
 		Stats:          stats,
 		BarrierTimeout: 2 * time.Second,
-		MaxRespawns:    -1, // legacy contract: first death is a sticky error
+		RespawnBackoff: 10 * time.Millisecond,
+		MaxRespawns:    1,
 		Spawn: func(controlAddr string, shard int) (transport.ShardProc, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, ok := procs[shard]; ok {
+				return nil, errors.New("respawn refused")
+			}
 			p, err := spawn(controlAddr, shard)
 			if err == nil {
-				mu.Lock()
 				procs[shard] = p
-				mu.Unlock()
 			}
 			return p, err
 		},
@@ -280,15 +286,24 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("EndEpoch hung after kill -9 mid-batch")
 	}
-	err = u.Err()
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("sticky error = %v, want shard 1 failure", err)
-	}
 	if got := u.Lost(); got != toVictim {
 		t.Fatalf("dead shard's round attributed %d losses, want %d", got, toVictim)
 	}
 	if got := stats.TotalLosses(); got != toVictim {
 		t.Fatalf("stats recorded %d losses, want %d", got, toVictim)
+	}
+	// The supervisor's single respawn attempt fails: the budget is
+	// exhausted, the shard is failed for good and the sticky error is set.
+	deadline := time.Now().Add(30 * time.Second)
+	for u.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	err = u.Err()
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "respawn budget exhausted") {
+		t.Fatalf("sticky error = %v, want shard 1 respawn budget exhausted", err)
+	}
+	if h := u.Health(); h.Shards[1].State != transport.ShardFailed || h.Failed != 1 || h.Shards[0].State != transport.ShardHealthy {
+		t.Fatalf("health = %+v, want shard 1 failed and shard 0 healthy", h)
 	}
 
 	// The surviving shard keeps taking rounds.

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tributarydelta/internal/network"
 	"tributarydelta/internal/runner"
@@ -29,43 +30,37 @@ func newDetUDP(t *testing.T, nw *network.Net, stats *network.Stats) *transport.U
 	return u
 }
 
-// TestUDPDeterministicMatchesSimulator is the UDP twin of
-// TestDeterministicMatchesSimulator: with the seeded loss model deciding
+// TestUDPDeterministicMatchesSimulator: with the seeded loss model deciding
 // Deliver verdicts and the barrier enforcing exactly-once datagram arrival,
 // the multi-process runtime must produce per-epoch results identical to the
-// synchronous simulator and receive-side accounting identical to the chan
-// backend — for seeds 1–3 across tree, multi-path and adaptive modes.
+// synchronous simulator, and per-node receive accounting identical to the
+// frames and bytes the simulator delivered — for seeds 1–3 across tree,
+// multi-path and adaptive modes.
 func TestUDPDeterministicMatchesSimulator(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		f := newFixture(seed, 250)
 		for _, mode := range []runner.Mode{runner.ModeTree, runner.ModeMultipath, runner.ModeTD} {
 			model := network.Global{P: 0.25}
 			simNet := network.New(f.g, model, seed)
-			chNet := network.New(f.g, model, seed)
 			udpNet := network.New(f.g, model, seed)
-			chStats := network.NewStats(f.g.N())
 			udpStats := network.NewStats(f.g.N())
-			ch := transport.New(chNet, transport.Options{Deterministic: true, Stats: chStats})
+			oracle := newCountingSim(simNet)
 			u := newDetUDP(t, udpNet, udpStats)
-			simR := countRunner(t, f, mode, simNet, seed, nil)
-			chR := countRunner(t, f, mode, chNet, seed, ch)
+			simR := countRunner(t, f, mode, simNet, seed, oracle)
 			udpR := countRunner(t, f, mode, udpNet, seed, u)
 			for e := 0; e < 20; e++ {
-				sim, con, up := simR.RunEpoch(e), chR.RunEpoch(e), udpR.RunEpoch(e)
+				sim, up := simR.RunEpoch(e), udpR.RunEpoch(e)
 				if sim != up {
 					t.Fatalf("seed %d %s epoch %d: simulator %+v, udp transport %+v", seed, mode, e, sim, up)
 				}
-				if con != up {
-					t.Fatalf("seed %d %s epoch %d: chan %+v, udp %+v", seed, mode, e, con, up)
-				}
 			}
-			if got, want := udpStats.TotalRxFrames(), chStats.TotalRxFrames(); got != want || got == 0 {
-				t.Fatalf("seed %d %s: udp rx frames %d, chan rx frames %d", seed, mode, got, want)
+			if udpStats.TotalRxFrames() == 0 {
+				t.Fatalf("seed %d %s: udp recorded no received frames", seed, mode)
 			}
 			for v := range udpStats.RxFrames {
-				if udpStats.RxFrames[v] != chStats.RxFrames[v] || udpStats.RxBytes[v] != chStats.RxBytes[v] {
-					t.Fatalf("seed %d %s node %d: udp rx %d frames/%d bytes, chan rx %d frames/%d bytes",
-						seed, mode, v, udpStats.RxFrames[v], udpStats.RxBytes[v], chStats.RxFrames[v], chStats.RxBytes[v])
+				if udpStats.RxFrames[v] != oracle.rxFrames[v] || udpStats.RxBytes[v] != oracle.rxBytes[v] {
+					t.Fatalf("seed %d %s node %d: udp rx %d frames/%d bytes, simulator delivered %d frames/%d bytes",
+						seed, mode, v, udpStats.RxFrames[v], udpStats.RxBytes[v], oracle.rxFrames[v], oracle.rxBytes[v])
 				}
 			}
 			if d := udpStats.TotalDuplicates(); d != 0 {
@@ -74,7 +69,6 @@ func TestUDPDeterministicMatchesSimulator(t *testing.T) {
 			if l := u.Lost(); l != 0 {
 				t.Fatalf("seed %d %s: deterministic udp counted %d backend losses", seed, mode, l)
 			}
-			ch.Close()
 			u.Close()
 		}
 	}
@@ -114,6 +108,23 @@ func TestUDPFreeRunningLossless(t *testing.T) {
 	}
 	if stats.TotalRxFrames() == 0 {
 		t.Fatal("no receive deltas reached stats")
+	}
+}
+
+// TestNewUDPRejectsBadOptions pins construction-time validation: a negative
+// respawn budget and a backoff cap below the initial backoff are refused
+// before any shard is spawned.
+func TestNewUDPRejectsBadOptions(t *testing.T) {
+	f := newFixture(3, 40)
+	nw := network.New(f.g, network.Global{P: 0}, 3)
+	for _, opts := range []transport.UDPOptions{
+		{MaxRespawns: -1},
+		{RespawnBackoff: time.Second, RespawnBackoffMax: time.Millisecond},
+	} {
+		if u, err := transport.NewUDP(nw, opts); err == nil {
+			u.Close()
+			t.Fatalf("NewUDP accepted %+v", opts)
+		}
 	}
 }
 

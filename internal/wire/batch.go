@@ -1,12 +1,20 @@
 package wire
 
-// Batch datagram framing for the UDP transport's coalesced data plane: one
+// Batch datagram framing — the UDP transport's only data-plane format: one
 // datagram carries every frame destined for a shard that fits under the
 // negotiated datagram size, so a 600-node epoch costs a handful of sends
 // instead of hundreds. The layout is
 //
 //	magic 0xD8 | version | round uvarint | baseSeq uvarint |
 //	repeated ( to uvarint | frame bytes, length-prefixed )
+//
+// The round is the parent's barrier round: it scopes the sequence space (a
+// query set reuses epoch numbers across member sub-rounds, so the barrier
+// counts rounds, not epochs). Sequence numbers are what let a shard
+// deduplicate replayed datagrams and report the missing ones at the
+// barrier. Each entry names its receiver — it is not inferred from the
+// envelope, which only names its sender (a broadcast frame has many
+// receivers).
 //
 // The i-th frame in the batch has sequence number baseSeq+i — consecutive by
 // construction, which is what lets the barrier account a lost datagram as a
@@ -16,14 +24,31 @@ package wire
 // ends the batch, so the sender can seal a batch the moment the next frame
 // would not fit.
 //
-// Like the single-frame format, every field arrives from outside the
-// process: decoding never panics, all identifiers are bounds-checked, and a
-// hostile header cannot force an allocation beyond the datagram itself
-// (FuzzDatagramBatchDecode pins this).
+// Every field arrives from outside the process: decoding never panics, all
+// identifiers are bounds-checked, and a hostile header cannot force an
+// allocation beyond the datagram itself (FuzzDatagramBatchDecode pins this).
 
-// DatagramBatchMagic is the first byte of every batch datagram; the
-// single-frame format keeps 0xD7, so a receiver dispatches on the magic.
+// MaxUDPPayload is the largest UDP payload deliverable over IPv4 (65535
+// minus the IP and UDP headers) — the upper bound of the per-link datagram
+// size negotiation.
+const MaxUDPPayload = 65507
+
+// DatagramBatchMagic is the first byte of every transport datagram;
+// anything else is malformed input (most likely a stray packet on a reused
+// port).
 const DatagramBatchMagic byte = 0xD8
+
+// DatagramVersion is the datagram header version; the second byte.
+const DatagramVersion byte = 1
+
+// MaxDatagramSeq bounds the per-round sequence space. It caps the size of a
+// shard's deduplication bitset against hostile input (2^20 sequence numbers
+// = a 128 KiB bitset at most) and is far above any real epoch's frame count.
+const MaxDatagramSeq = 1 << 20
+
+// maxDatagramNode bounds the receiver id, mirroring the envelope's 32-bit
+// node identifiers.
+const maxDatagramNode = 1<<32 - 1
 
 // AppendDatagramBatch appends a batch datagram header to dst: magic,
 // version, the barrier round and the sequence number of the batch's first
@@ -60,19 +85,13 @@ func BatchFrameLen(to, frameLen int) int {
 	return UvarintLen(uint64(to)) + UvarintLen(uint64(frameLen)) + frameLen
 }
 
-// DatagramIsBatch reports whether data begins with the batch magic — the
-// receive path's dispatch between the single-frame and batch decoders.
-func DatagramIsBatch(data []byte) bool {
-	return len(data) > 0 && data[0] == DatagramBatchMagic
-}
-
 // DatagramBatch iterates the frames of one batch datagram. Decode the header
 // with DecodeDatagramBatch, then advance with Next and read the current
 // entry's Seq/To/Frame; after Next returns false, Err distinguishes a clean
 // end of batch (nil) from malformed input. Frames alias the input buffer.
 type DatagramBatch struct {
-	// Round is the parent's barrier round counter, scoping the sequence
-	// space exactly like the single-frame format.
+	// Round is the parent's barrier round counter (monotonic across epochs
+	// and query-set sub-rounds), scoping the sequence space.
 	Round uint64
 	// Base is the sequence number of the batch's first frame.
 	Base int

@@ -33,9 +33,6 @@ func TestDatagramBatchRoundTrip(t *testing.T) {
 				t.Errorf("entry %d = %d bytes, BatchFrameLen says %d", i, got, want)
 			}
 		}
-		if !DatagramIsBatch(enc) || DatagramIsBatch(AppendDatagram(nil, 1, 2, 3, nil)) {
-			t.Fatal("DatagramIsBatch misclassifies")
-		}
 		b, err := DecodeDatagramBatch(enc)
 		if err != nil {
 			t.Fatalf("decode (%d,%d): %v", c.round, c.base, err)
@@ -66,8 +63,8 @@ func TestDatagramBatchDecodeRejects(t *testing.T) {
 		nil,
 		{},
 		{DatagramBatchMagic},
-		{DatagramMagic, DatagramVersion, 1, 1}, // single-frame magic
-		{DatagramBatchMagic, 99, 1, 1},         // wrong version
+		{0xD7, DatagramVersion, 1, 1},  // retired single-frame magic
+		{DatagramBatchMagic, 99, 1, 1}, // wrong version
 		AppendDatagramBatch(nil, 1, MaxDatagramSeq), // base out of range
 	}
 	for i, data := range headerBad {

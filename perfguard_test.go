@@ -10,61 +10,6 @@ import (
 	td "tributarydelta"
 )
 
-// measureEpochNS times one steady-state 600-node Count epoch for the given
-// scheme.
-func measureEpochNS(b testing.TB, scheme td.Scheme, extra ...td.Option) float64 {
-	dep := td.NewSyntheticDeployment(1, 600)
-	dep.SetGlobalLoss(0.2)
-	opts := append([]td.Option{td.WithScheme(scheme)}, extra...)
-	s, err := td.Open(dep, td.Count(), opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	epoch := 0
-	for ; epoch < 20; epoch++ { // warm pools, buffers and caches
-		s.RunEpoch(epoch)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.RunEpoch(epoch)
-			epoch++
-		}
-	})
-	return float64(res.NsPerOp())
-}
-
-// TestUDPBatchGuard is the CI smoke check that datagram coalescing never
-// becomes a pessimization: the UDP epoch with batching on must stay within
-// 5% of the one-frame-per-datagram data plane. (It should win outright — a
-// batched epoch costs a handful of sendmmsg calls against hundreds of
-// sendto — so the bound mostly guards against the coalescing bookkeeping
-// rotting.) Opt-in via TD_BENCH_SMOKE=1; self-skips when the loopback
-// timing is too noisy to judge, like the other perf guards.
-func TestUDPBatchGuard(t *testing.T) {
-	if os.Getenv("TD_BENCH_SMOKE") == "" {
-		t.Skip("set TD_BENCH_SMOKE=1 to run the benchmark smoke guard")
-	}
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	udp := []td.Option{td.WithUDPTransport(4)}
-	batch1 := measureEpochNS(t, td.SchemeTD, udp...)
-	single1 := measureEpochNS(t, td.SchemeTD, append(udp, td.WithDatagramBatching(false))...)
-	batch2 := measureEpochNS(t, td.SchemeTD, udp...)
-	single2 := measureEpochNS(t, td.SchemeTD, append(udp, td.WithDatagramBatching(false))...)
-	if hi, lo := math.Max(single1, single2), math.Min(single1, single2); hi > lo*1.3 {
-		t.Logf("timing too noisy to judge (%.0f vs %.0f ns/op unbatched), skipping", single1, single2)
-		return
-	}
-	single := math.Min(single1, single2)
-	batch := math.Min(batch1, batch2)
-	t.Logf("UDP: unbatched %.0f ns/op, batched %.0f ns/op (ratio %.3f)", single, batch, batch/single)
-	if batch > single*1.05 {
-		t.Errorf("batched UDP epoch %.0f ns/op exceeds unbatched %.0f ns/op by more than 5%%", batch, single)
-	}
-}
-
 // TestPipelinedPoolGuard is the CI smoke check that pipelined pool
 // scheduling actually buys throughput where it should: with 4 deployments
 // on a multi-core host, enqueue-and-drain must not fall behind lock-step

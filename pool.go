@@ -56,7 +56,6 @@ func (h hostedSet) poolStats() SessionStats {
 		total.TotalWords += st.TotalWords
 		total.TotalBytes += st.TotalBytes
 		total.Losses += st.Losses
-		total.InboxDrops += st.InboxDrops
 		total.RxFrames += st.RxFrames
 		total.Duplicates += st.Duplicates
 	}
@@ -123,12 +122,12 @@ type DeploymentStatus struct {
 	Stats SessionStats
 	// TransportErr is the deployment's delivery-backend sticky error, if any
 	// — an exhausted respawn budget, an oversized frame, a socket failure.
-	// Nil for the in-process backends and for a healthy (or recovering)
-	// fleet; see Health for transient shard trouble.
+	// Nil for the simulator and for a healthy (or recovering) fleet; see
+	// Health for transient shard trouble.
 	TransportErr error
 	// Health is the UDP runtime's supervision snapshot — per-shard state,
 	// restart counts, degraded epochs. Zero (Healthy() true) for the
-	// in-process backends.
+	// simulator.
 	Health FleetHealth
 }
 

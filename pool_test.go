@@ -8,11 +8,13 @@ import (
 	td "tributarydelta"
 )
 
-func poolCountSession(t testing.TB, seed uint64, n int, concurrent bool) *td.Session[float64] {
+// poolCountSession opens a TD Count session on a fresh deployment, over the
+// UDP runtime with the given shard count (0: the simulator).
+func poolCountSession(t testing.TB, seed uint64, n int, udpShards int) *td.Session[float64] {
 	t.Helper()
 	dep := td.NewSyntheticDeployment(seed, n)
 	dep.SetGlobalLoss(0.25)
-	dep.UseConcurrentRuntime(concurrent)
+	dep.UseUDPRuntime(udpShards)
 	s, err := td.NewCountSession(dep, td.SchemeTD, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +30,7 @@ func TestPoolRunEpochsMatchesSolo(t *testing.T) {
 	defer p.Close()
 	const deployments = 3
 	for i := 0; i < deployments; i++ {
-		if err := p.Add(fmt.Sprintf("d%d", i), poolCountSession(t, uint64(i+1), 150, false)); err != nil {
+		if err := p.Add(fmt.Sprintf("d%d", i), poolCountSession(t, uint64(i+1), 150, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +41,7 @@ func TestPoolRunEpochsMatchesSolo(t *testing.T) {
 	}
 	for i := 0; i < deployments; i++ {
 		id := fmt.Sprintf("d%d", i)
-		solo := poolCountSession(t, uint64(i+1), 150, false)
+		solo := poolCountSession(t, uint64(i+1), 150, 0)
 		got := append(append([]td.SetRound(nil), first[id]...), second[id]...)
 		for e, round := range got {
 			want := solo.RunEpoch(e)
@@ -60,23 +62,23 @@ func TestPoolRunEpochsMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentRuntimeSessions hosts sessions that themselves run the
-// goroutine-per-node transport: nested concurrency must still reproduce the
-// simulator answers.
-func TestPoolConcurrentRuntimeSessions(t *testing.T) {
+// TestPoolUDPRuntimeSessions hosts sessions that themselves run the UDP
+// shard fleet: nested concurrency must still reproduce the simulator
+// answers.
+func TestPoolUDPRuntimeSessions(t *testing.T) {
 	p := td.NewPool(2)
 	defer p.Close()
-	if err := p.Add("conc", poolCountSession(t, 9, 150, true)); err != nil {
+	if err := p.Add("udp", poolCountSession(t, 9, 150, 4)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.RunDeployment("conc", 5)
+	got, err := p.RunDeployment("udp", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := poolCountSession(t, 9, 150, false)
+	solo := poolCountSession(t, 9, 150, 0)
 	for e, round := range got {
 		if res, want := scalarOf(t, round), solo.RunEpoch(e); res != want {
-			t.Fatalf("epoch %d: concurrent-runtime %+v, simulator %+v", e, res, want)
+			t.Fatalf("epoch %d: udp-runtime %+v, simulator %+v", e, res, want)
 		}
 	}
 }
@@ -101,11 +103,11 @@ func TestPoolLifecycle(t *testing.T) {
 	if p.Workers() < 1 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
-	s := poolCountSession(t, 1, 120, false)
+	s := poolCountSession(t, 1, 120, 0)
 	if err := p.Add("a", s); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add("a", poolCountSession(t, 2, 120, false)); err == nil {
+	if err := p.Add("a", poolCountSession(t, 2, 120, 0)); err == nil {
 		t.Fatal("duplicate Add should fail")
 	}
 	if err := p.Add("nil", nil); err == nil {
@@ -123,16 +125,16 @@ func TestPoolLifecycle(t *testing.T) {
 
 	// Hammer the pool from several goroutines: runs, status and removals
 	// must interleave safely (-race is the real assertion here). The
-	// concurrent-runtime sessions make a Remove racing a snapshotted
-	// RunEpochs fatal if the pool ever runs a closed session — its inbox
-	// channels are closed, so a late RunEpoch would panic.
+	// UDP-runtime sessions own real sockets and shard goroutines, so a
+	// Remove racing a snapshotted RunEpochs would run an epoch over a torn-
+	// down fleet if the pool ever ran a closed session.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			id := fmt.Sprintf("g%d", g)
-			if err := p.Add(id, poolCountSession(t, uint64(10+g), 120, true)); err != nil {
+			if err := p.Add(id, poolCountSession(t, uint64(10+g), 120, 4)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -168,7 +170,7 @@ func TestPoolPipelinedMatchesLockStep(t *testing.T) {
 	defer p.Close()
 	const deployments = 3
 	for i := 0; i < deployments; i++ {
-		if err := p.Add(fmt.Sprintf("d%d", i), poolCountSession(t, uint64(i+1), 150, false)); err != nil {
+		if err := p.Add(fmt.Sprintf("d%d", i), poolCountSession(t, uint64(i+1), 150, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +193,7 @@ func TestPoolPipelinedMatchesLockStep(t *testing.T) {
 		if len(got) != 9 {
 			t.Fatalf("%s: %d rounds banked, want 9", id, len(got))
 		}
-		solo := poolCountSession(t, uint64(i+1), 150, false)
+		solo := poolCountSession(t, uint64(i+1), 150, 0)
 		for e, round := range got {
 			if round.Epoch != e {
 				t.Fatalf("%s: round %d labeled epoch %d", id, e, round.Epoch)
@@ -212,7 +214,7 @@ func TestPoolPipelinedMatchesLockStep(t *testing.T) {
 func TestPoolPipelinedToggle(t *testing.T) {
 	p := td.NewPool(2)
 	defer p.Close()
-	if err := p.Add("a", poolCountSession(t, 5, 150, false)); err != nil {
+	if err := p.Add("a", poolCountSession(t, 5, 150, 0)); err != nil {
 		t.Fatal(err)
 	}
 	p.SetPipelined(true)
@@ -223,7 +225,7 @@ func TestPoolPipelinedToggle(t *testing.T) {
 	}
 	lock := p.RunEpochs(2)
 	got := append(append([]td.SetRound(nil), drained["a"]...), lock["a"]...)
-	solo := poolCountSession(t, 5, 150, false)
+	solo := poolCountSession(t, 5, 150, 0)
 	for e, round := range got {
 		if round.Epoch != e {
 			t.Fatalf("round %d labeled epoch %d", e, round.Epoch)
@@ -244,7 +246,7 @@ func TestPoolPipelinedHammer(t *testing.T) {
 	defer p.Close()
 	const deployments = 16
 	for i := 0; i < deployments; i++ {
-		if err := p.Add(fmt.Sprintf("h%d", i), poolCountSession(t, uint64(20+i), 100, false)); err != nil {
+		if err := p.Add(fmt.Sprintf("h%d", i), poolCountSession(t, uint64(20+i), 100, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

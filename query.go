@@ -45,24 +45,20 @@ func (q Query[R]) Name() string { return q.name }
 
 // openConfig is the resolved option set of one Open call.
 type openConfig struct {
-	scheme        Scheme
-	seed          uint64
-	seedSet       bool
-	concurrent    bool
-	concurrentSet bool
-	udpShards     int
-	udpSet        bool
-	udpNoBatch    bool
-	udpBatchSet   bool
-	epsilon       float64
-	sampleK       int
-	threshold     float64
-	adaptEvery    int
-	retransmits   int
-	topK          int
-	pipelined     bool
-	churn         []ChurnEvent
-	set           *QuerySet
+	scheme      Scheme
+	seed        uint64
+	seedSet     bool
+	udpShards   int
+	udpSet      bool
+	epsilon     float64
+	sampleK     int
+	threshold   float64
+	adaptEvery  int
+	retransmits int
+	topK        int
+	pipelined   bool
+	churn       []ChurnEvent
+	set         *QuerySet
 }
 
 // Option adjusts how Open assembles a session; see the With* constructors.
@@ -78,35 +74,16 @@ func WithSeed(seed uint64) Option {
 	return func(c *openConfig) { c.seed = seed; c.seedSet = true }
 }
 
-// WithConcurrentRuntime overrides the deployment's runtime selection for
-// this session: true runs the goroutine-per-node concurrent transport in
-// its deterministic mode, false the synchronous simulator. Without this
-// option the session follows Deployment.UseConcurrentRuntime. It cannot be
-// combined with InSet — a query set's runtime is pinned when the set is
-// created — and Open rejects the combination.
-func WithConcurrentRuntime(on bool) Option {
-	return func(c *openConfig) { c.concurrent = on; c.concurrentSet = true }
-}
-
 // WithUDPTransport overrides the deployment's runtime selection for this
 // session with the multi-process UDP transport: nodes partition over shards
 // shard runtimes and every frame travels as a real loopback datagram, in the
 // deterministic mode whose answers are bit-identical to the in-process
-// backends (see Deployment.UseUDPRuntime). shards <= 0 selects the
-// in-process runtimes instead. It cannot be combined with
-// WithConcurrentRuntime or InSet; Open rejects both combinations.
+// simulator (see Deployment.UseUDPRuntime). shards <= 0 selects the
+// simulator instead. It cannot be combined with InSet — a query set's
+// runtime is pinned when the set is created — and Open rejects the
+// combination.
 func WithUDPTransport(shards int) Option {
 	return func(c *openConfig) { c.udpShards = shards; c.udpSet = true }
-}
-
-// WithDatagramBatching toggles the UDP runtime's datagram coalescing for
-// this session (default: the deployment's SetDatagramBatching choice, itself
-// defaulting to on): frames pack into MTU-bounded batch datagrams submitted
-// in batched syscalls at the epoch barrier. Answers are bit-identical either
-// way — disabling it is an A/B lever for benchmarking and parity tests, not
-// a behavioral switch. It only affects sessions that run the UDP transport.
-func WithDatagramBatching(on bool) Option {
-	return func(c *openConfig) { c.udpNoBatch = !on; c.udpBatchSet = true }
 }
 
 // WithEpsilon sets the approximation budget of queries that take one: the
@@ -154,8 +131,8 @@ func WithChurn(events ...ChurnEvent) Option {
 
 // InSet opens the session as a member of set: it shares the set's
 // network — one loss realization per epoch across every member — and the
-// runtime selection (simulator or shared concurrent node runtime) the set
-// pinned at creation. Member sessions are advanced by the set's lock-step
+// runtime selection (simulator or shared UDP fleet) the set pinned at
+// creation. Member sessions are advanced by the set's lock-step
 // rounds and released by QuerySet.Close.
 func InSet(set *QuerySet) Option { return func(c *openConfig) { c.set = set } }
 
@@ -180,9 +157,6 @@ func Open[R any](d *Deployment, q Query[R], opts ...Option) (*Session[R], error)
 		o(&cfg)
 	}
 
-	if cfg.udpSet && cfg.concurrentSet {
-		return nil, fmt.Errorf("tributarydelta: WithUDPTransport and WithConcurrentRuntime are mutually exclusive")
-	}
 	stats := network.NewStats(d.scenario.Graph.N())
 	var net *network.Net
 	var tr runner.Transport
@@ -193,7 +167,7 @@ func Open[R any](d *Deployment, q Query[R], opts ...Option) (*Session[R], error)
 		if set.d != d {
 			return nil, fmt.Errorf("tributarydelta: InSet with a query set of a different deployment")
 		}
-		if cfg.concurrentSet || cfg.udpSet {
+		if cfg.udpSet {
 			return nil, fmt.Errorf("tributarydelta: a session runtime option cannot override a query set's runtime (pinned at NewQuerySet)")
 		}
 		if !cfg.seedSet {
@@ -205,35 +179,20 @@ func Open[R any](d *Deployment, q Query[R], opts ...Option) (*Session[R], error)
 		health = set.transportHealth
 	} else {
 		net = network.New(d.scenario.Graph, d.model, cfg.seed)
-		// Explicit per-session options override the deployment's runtime;
-		// among the deployment defaults, the UDP runtime takes precedence
-		// over the concurrent one.
-		udpShards := 0
+		// An explicit per-session option overrides the deployment's runtime.
+		udpShards := d.udpShards
 		if cfg.udpSet {
 			udpShards = cfg.udpShards
-		} else if !cfg.concurrentSet && d.udpShards > 0 {
-			udpShards = d.udpShards
-		}
-		concurrent := d.concurrent
-		if cfg.concurrentSet {
-			concurrent = cfg.concurrent
 		}
 		if udpShards > 0 {
-			noBatch := d.udpNoBatch
-			if cfg.udpBatchSet {
-				noBatch = cfg.udpNoBatch
-			}
 			u, err := transport.NewUDP(net, transport.UDPOptions{
 				Shards: udpShards, Deterministic: true, Stats: stats,
-				Spawn: d.udpSpawner(), NoBatching: noBatch,
+				Spawn: d.udpSpawner(),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("tributarydelta: udp runtime: %w", err)
 			}
 			tr, stop, trErr, health = u, u.Close, u.Err, u.Health
-		} else if concurrent {
-			ch := transport.New(net, transport.Options{Deterministic: true, Stats: stats})
-			tr, stop = ch, ch.Close
 		}
 	}
 
@@ -280,7 +239,6 @@ func (e runnerEngine[V, P, S, A, R]) stats() SessionStats {
 		TotalWords: snap.Words,
 		TotalBytes: snap.Bytes,
 		Losses:     snap.Losses,
-		InboxDrops: snap.InboxDrops,
 		RxFrames:   snap.RxFrames,
 		Duplicates: snap.Duplicates,
 	}

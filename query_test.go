@@ -289,20 +289,20 @@ func TestOpenValidation(t *testing.T) {
 	}
 	own := dep.NewQuerySet(1)
 	defer own.Close()
-	if _, err := td.Open(dep, td.Count(), td.InSet(own), td.WithConcurrentRuntime(true)); err == nil {
-		t.Fatal("WithConcurrentRuntime combined with InSet must be rejected")
+	if _, err := td.Open(dep, td.Count(), td.InSet(own), td.WithUDPTransport(2)); err == nil {
+		t.Fatal("WithUDPTransport combined with InSet must be rejected")
 	}
 }
 
 // TestSessionCloseMidRunConcurrent pins the hard half of the Close
 // contract: Close racing a Run on another goroutine must wait out the
-// in-flight epoch before releasing the concurrent runtime — never a send
-// on the closed node inboxes.
+// in-flight epoch before releasing the UDP runtime — never an epoch over
+// a torn-down shard fleet.
 func TestSessionCloseMidRunConcurrent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		dep := td.NewSyntheticDeployment(8, 150)
 		dep.SetGlobalLoss(0.2)
-		dep.UseConcurrentRuntime(true)
+		dep.UseUDPRuntime(4)
 		s, err := td.Open(dep, td.Count(), td.WithSeed(8))
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +328,7 @@ func TestQuerySetCloseMidRunConcurrent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		dep := td.NewSyntheticDeployment(9, 150)
 		dep.SetGlobalLoss(0.2)
-		dep.UseConcurrentRuntime(true)
+		dep.UseUDPRuntime(4)
 		set := dep.NewQuerySet(9)
 		if _, err := td.Open(dep, td.Count(), td.InSet(set)); err != nil {
 			t.Fatal(err)

@@ -4,9 +4,9 @@ package tributarydelta
 // aggregate queries over one field": N queries registered on one deployment
 // advance in lock-step rounds sharing a single network — one loss
 // realization per epoch, one shared epoch numbering — so their answers
-// differ only by aggregate, never by network luck. Under the concurrent
-// runtime the set also shares one goroutine-per-node transport through a
-// runner-layer multiplexer that keeps per-query Stats separate.
+// differ only by aggregate, never by network luck. Under the UDP runtime
+// the set also shares one shard fleet through a runner-layer multiplexer
+// that keeps per-query Stats separate.
 
 import (
 	"context"
@@ -41,7 +41,7 @@ type setMember interface {
 // with Deployment.NewQuerySet, add members by passing InSet to Open, then
 // drive rounds with RunEpoch, Run or Stream. All members of a round see the
 // same loss realization: the set owns a single network (and, when the
-// deployment runs the concurrent runtime, a single shared node runtime), so
+// deployment runs the UDP runtime, a single shared shard fleet), so
 // frame fate for a given (epoch, sender, receiver, attempt) is identical
 // across members.
 //
@@ -77,8 +77,8 @@ type QuerySet struct {
 // seed: the seed fixes the set's shared loss realization and is the default
 // seed of every member opened without WithSeed. The deployment's failure
 // model and runtime selection are pinned at creation time. Release the set
-// — its members and, under the concurrent runtime, the shared node runtime
-// — with Close.
+// — its members and, under the UDP runtime, the shared shard fleet — with
+// Close.
 func (d *Deployment) NewQuerySet(seed uint64) *QuerySet {
 	qs := &QuerySet{
 		d:    d,
@@ -86,30 +86,24 @@ func (d *Deployment) NewQuerySet(seed uint64) *QuerySet {
 		net:  network.New(d.scenario.Graph, d.model, seed),
 		done: make(chan struct{}),
 	}
-	switch {
-	case d.udpShards > 0:
+	if d.udpShards > 0 {
 		u, err := transport.NewUDP(qs.net, transport.UDPOptions{
 			Shards: d.udpShards, Deterministic: true, Spawn: d.udpSpawner(),
-			NoBatching: d.udpNoBatch,
 		})
 		if err != nil {
 			qs.initErr = fmt.Errorf("tributarydelta: udp runtime: %w", err)
-			break
+			return qs
 		}
 		qs.mux = runner.NewMux(u)
 		qs.stop = u.Close
 		qs.trErr = u.Err
 		qs.trHealth = u.Health
-	case d.concurrent:
-		ch := transport.New(qs.net, transport.Options{Deterministic: true})
-		qs.mux = runner.NewMux(ch)
-		qs.stop = ch.Close
 	}
 	return qs
 }
 
 // port returns a member's transport view: a per-member port of the shared
-// concurrent runtime, or nil when members simulate locally (the simulator
+// UDP fleet, or nil when members simulate locally (the simulator
 // is a pure function of the shared seed, so the loss realization is shared
 // with no coordination).
 func (qs *QuerySet) port(stats *network.Stats) runner.Transport {
@@ -155,13 +149,12 @@ func (qs *QuerySet) transportHealth() FleetHealth {
 // only for permanent failures (oversized frame, socket failure, a shard
 // whose respawn budget is exhausted), in which case some deliveries were
 // force-counted as losses while rounds kept completing. Recovered shard
-// deaths surface in TransportHealth instead. Always nil for the in-process
-// runtimes.
+// deaths surface in TransportHealth instead. Always nil for the simulator.
 func (qs *QuerySet) TransportErr() error { return qs.transportErr() }
 
 // TransportHealth reports the shared UDP runtime's supervision snapshot:
 // per-shard state, restart counts and degraded epochs. A zero snapshot
-// (Healthy() true) for the in-process runtimes.
+// (Healthy() true) for the simulator.
 func (qs *QuerySet) TransportHealth() FleetHealth { return qs.transportHealth() }
 
 // errClosedSet is returned by Open(InSet(...)) on a closed set.
@@ -285,8 +278,8 @@ func (qs *QuerySet) Stream(ctx context.Context, startEpoch, rounds int) <-chan S
 	return out
 }
 
-// Close closes every member session and, under the concurrent runtime, the
-// shared node runtime. It waits for live streams and in-flight rounds to
+// Close closes every member session and, under the UDP runtime, the shared
+// shard fleet. It waits for live streams and in-flight rounds to
 // stop (never interrupting an epoch mid-flight), is safe to call from any
 // goroutine and is idempotent.
 func (qs *QuerySet) Close() {

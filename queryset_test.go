@@ -99,59 +99,59 @@ func TestQuerySetSharedLossRealization(t *testing.T) {
 	}
 }
 
-// TestQuerySetConcurrentRuntimeParity pins the shared concurrent runtime:
-// a set on the goroutine-per-node transport produces bit-identical rounds
-// to the same set on the synchronous simulator, and its per-member receive
-// accounting is populated by the multiplexer.
-func TestQuerySetConcurrentRuntimeParity(t *testing.T) {
+// TestQuerySetUDPRuntimeParity pins the shared UDP runtime: a set on one
+// shard fleet produces bit-identical rounds to the same set on the
+// synchronous simulator, and its per-member receive accounting is populated
+// by the multiplexer.
+func TestQuerySetUDPRuntimeParity(t *testing.T) {
 	const seed = 3
-	mkRounds := func(concurrent bool) ([]td.SetRound, []td.SessionStats) {
+	mkRounds := func(udpShards int) ([]td.SetRound, []td.SessionStats) {
 		dep := td.NewSyntheticDeployment(2, 200)
 		dep.SetGlobalLoss(0.25)
-		dep.UseConcurrentRuntime(concurrent)
+		dep.UseUDPRuntime(udpShards)
 		set, _, _, _ := openSetTrio(t, dep, seed)
 		defer set.Close()
 		return set.Run(0, 8), set.MemberStats()
 	}
-	simRounds, simStats := mkRounds(false)
-	concRounds, concStats := mkRounds(true)
+	simRounds, simStats := mkRounds(0)
+	udpRounds, udpStats := mkRounds(4)
 	for e := range simRounds {
 		for m := 0; m < 2; m++ { // scalar members compare directly
-			if simRounds[e].Results[m] != concRounds[e].Results[m] {
-				t.Fatalf("epoch %d member %d: sim %+v, concurrent %+v",
-					e, m, simRounds[e].Results[m], concRounds[e].Results[m])
+			if simRounds[e].Results[m] != udpRounds[e].Results[m] {
+				t.Fatalf("epoch %d member %d: sim %+v, udp %+v",
+					e, m, simRounds[e].Results[m], udpRounds[e].Results[m])
 			}
 		}
 		sq := simRounds[e].Results[2].(td.Result[*quantile.Summary])
-		cq := concRounds[e].Results[2].(td.Result[*quantile.Summary])
+		cq := udpRounds[e].Results[2].(td.Result[*quantile.Summary])
 		if sq.TrueContrib != cq.TrueContrib || sq.Answer.N != cq.Answer.N ||
 			sq.Answer.Quantile(0.5) != cq.Answer.Quantile(0.5) {
 			t.Fatalf("epoch %d: quantile member diverged: %+v vs %+v", e, sq, cq)
 		}
 	}
 	for m := range simStats {
-		if simStats[m].TotalBytes != concStats[m].TotalBytes {
-			t.Fatalf("member %d: tx accounting diverged: %+v vs %+v", m, simStats[m], concStats[m])
+		if simStats[m].TotalBytes != udpStats[m].TotalBytes {
+			t.Fatalf("member %d: tx accounting diverged: %+v vs %+v", m, simStats[m], udpStats[m])
 		}
-		if concStats[m].RxFrames <= 0 {
-			t.Fatalf("member %d: concurrent runtime recorded no received frames: %+v", m, concStats[m])
+		if udpStats[m].RxFrames <= 0 {
+			t.Fatalf("member %d: udp runtime recorded no received frames: %+v", m, udpStats[m])
 		}
 	}
 	// The multiplexer attributes receive work per member: scalar members
 	// see the same frame counts under a shared loss realization.
-	if concStats[0].RxFrames != concStats[1].RxFrames {
+	if udpStats[0].RxFrames != udpStats[1].RxFrames {
 		t.Fatalf("scalar members received %d vs %d frames",
-			concStats[0].RxFrames, concStats[1].RxFrames)
+			udpStats[0].RxFrames, udpStats[1].RxFrames)
 	}
 }
 
-// TestQuerySetStreamRace drives QuerySet.Stream under the concurrent
-// runtime while Close races the consumer — the -race exercise for the
+// TestQuerySetStreamRace drives QuerySet.Stream under the UDP runtime
+// while Close races the consumer — the -race exercise for the
 // shared-transport multiplexer and the stream teardown path.
 func TestQuerySetStreamRace(t *testing.T) {
 	dep := td.NewSyntheticDeployment(5, 150)
 	dep.SetGlobalLoss(0.2)
-	dep.UseConcurrentRuntime(true)
+	dep.UseUDPRuntime(4)
 	set, _, _, _ := openSetTrio(t, dep, 5)
 
 	ctx := context.Background()

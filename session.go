@@ -34,16 +34,13 @@ type SessionStats struct {
 	TotalBytes int64
 	// Losses counts delivery attempts that did not reach their receiver.
 	Losses int64
-	// InboxDrops counts frames that survived the medium but overflowed a
-	// bounded node inbox (concurrent runtime only; a subset of Losses).
-	InboxDrops int64
 	// RxFrames counts frames processed by receiver runtimes (populated by
-	// the concurrent runtime; the synchronous simulator hands frames over
-	// without a receive loop).
+	// the UDP runtime; the synchronous simulator hands frames over without
+	// a receive loop).
 	RxFrames int64
 	// Duplicates counts duplicated frames discarded by receiver runtimes
-	// before processing (UDP runtime only — the in-process backends cannot
-	// duplicate; never part of RxFrames). Frame-denominated: a replayed
+	// before processing (UDP runtime only — the simulator cannot duplicate;
+	// never part of RxFrames). Frame-denominated: a replayed
 	// batch datagram counts one duplicate per frame it carried.
 	Duplicates int64
 }
@@ -67,10 +64,10 @@ type engine[R any] interface {
 //
 // Close contract: Close marks the session closed, waits for live streams
 // and in-flight rounds to wind down (it never interrupts an epoch mid-
-// flight), then releases the concurrent runtime (when the session owns
-// one). A closed session stops cleanly rather than failing: Run/RunInto
-// return the rounds completed so far, Stream's channel closes, and RunEpoch
-// returns a zero Result carrying only the epoch number. Close is idempotent.
+// flight), then releases the UDP runtime (when the session owns one). A
+// closed session stops cleanly rather than failing: Run/RunInto return the
+// rounds completed so far, Stream's channel closes, and RunEpoch returns a
+// zero Result carrying only the epoch number. Close is idempotent.
 type Session[R any] struct {
 	eng  engine[R]
 	name string
@@ -171,11 +168,11 @@ func (s *Session[R]) Stream(ctx context.Context, startEpoch, rounds int) <-chan 
 	return out
 }
 
-// Close releases resources owned by the session — the concurrent runtime's
-// node goroutines when the session owns one (QuerySet members share their
-// set's runtime, released by QuerySet.Close). It waits for live Stream
-// goroutines and in-flight rounds to stop, is safe to call from any
-// goroutine and is idempotent. See the Session type docs for the full
+// Close releases resources owned by the session — the UDP runtime's shard
+// fleet when the session owns one (QuerySet members share their set's
+// runtime, released by QuerySet.Close). It waits for live Stream goroutines
+// and in-flight rounds to stop, is safe to call from any goroutine and is
+// idempotent. See the Session type docs for the full
 // contract.
 func (s *Session[R]) Close() {
 	s.mu.Lock()
@@ -214,8 +211,8 @@ func (s *Session[R]) Stats() SessionStats { return s.eng.stats() }
 // frame, a socket failure, or a shard whose respawn budget is exhausted. A
 // non-nil error means some deliveries were force-counted as losses while
 // answers kept being produced. Recovered shard deaths do NOT surface here —
-// see TransportHealth. In-process backends never fail; for them (and for
-// the simulator) TransportErr is always nil.
+// see TransportHealth. The simulator never fails; for it TransportErr is
+// always nil.
 func (s *Session[R]) TransportErr() error {
 	if s.trErr == nil {
 		return nil
@@ -225,8 +222,8 @@ func (s *Session[R]) TransportErr() error {
 
 // TransportHealth reports the UDP runtime's supervision snapshot: per-shard
 // state (healthy/respawning/failed), restart counts and the epochs each
-// shard spent degraded. For the in-process backends and the simulator it
-// returns a zero snapshot, whose Healthy() is true.
+// shard spent degraded. For the simulator it returns a zero snapshot, whose
+// Healthy() is true.
 func (s *Session[R]) TransportHealth() FleetHealth {
 	if s.health == nil {
 		return FleetHealth{}

@@ -85,8 +85,7 @@ func (s *MomentsSession) ExactValue(epoch int) MomentsValue {
 	return s.s.ExactAnswer(epoch)
 }
 
-// Close releases the session's concurrent runtime, if enabled; see
-// Session.Close.
+// Close releases the session's UDP runtime, if enabled; see Session.Close.
 func (s *MomentsSession) Close() { s.s.Close() }
 
 // SampleResult is one collection round's outcome for the sampling session.
@@ -129,6 +128,5 @@ func (s *SampleSession) RunEpoch(epoch int) SampleResult {
 	return SampleResult{Epoch: epoch, Sample: res.Answer, TrueContrib: res.TrueContrib}
 }
 
-// Close releases the session's concurrent runtime, if enabled; see
-// Session.Close.
+// Close releases the session's UDP runtime, if enabled; see Session.Close.
 func (s *SampleSession) Close() { s.s.Close() }

@@ -37,11 +37,10 @@
 //	res := s.RunEpoch(0)
 //	fmt.Println(res.Answer, res.TrueContrib)
 //
-// Deployment.UseConcurrentRuntime swaps the synchronous in-process
-// simulator for the goroutine-per-node concurrent transport
-// (internal/transport) in its deterministic mode — answers stay
-// bit-identical; see DESIGN.md §5 for the concurrency model and §6 for the
-// query layer.
+// Deployment.UseUDPRuntime swaps the synchronous in-process simulator for
+// the multi-process UDP transport (internal/transport) in its deterministic
+// mode — answers stay bit-identical; see DESIGN.md §5 for the transport and
+// §6 for the query layer.
 //
 // Messages travel as real bytes: every partial result and synopsis is
 // serialized by the internal/wire codec layer, and all energy accounting
@@ -117,12 +116,10 @@ const (
 // the rings decomposition, the restricted aggregation tree (links ⊆ rings,
 // §4.1) and a TAG tree for the pure-tree baseline.
 type Deployment struct {
-	scenario   *workload.Scenario
-	model      network.Model
-	concurrent bool
-	udpShards  int
-	udpBinary  string
-	udpNoBatch bool
+	scenario  *workload.Scenario
+	model     network.Model
+	udpShards int
+	udpBinary string
 }
 
 // NewSyntheticDeployment places n sensors uniformly in the paper's 20×20
@@ -169,35 +166,16 @@ func (d *Deployment) DominationFactor() float64 {
 	return topo.TreeDominationFactor(d.scenario.Tree, 0.05)
 }
 
-// UseConcurrentRuntime selects the frame-delivery backend for sessions
-// subsequently built from this deployment. When enabled, every session runs
-// the goroutine-per-node concurrent runtime (one worker per sensor draining
-// a bounded inbox of frames, with an epoch barrier between rounds) in its
-// deterministic mode, so answers are bit-identical to the in-process
-// simulator. Sessions built with the concurrent runtime own node goroutines
-// and should be released with Close when done. WithConcurrentRuntime
-// overrides the choice per session.
-func (d *Deployment) UseConcurrentRuntime(on bool) { d.concurrent = on }
-
 // UseUDPRuntime selects the multi-process UDP transport for sessions
 // subsequently built from this deployment: nodes are partitioned over shards
 // shard runtimes (loopback processes, or in-process goroutines over real
 // sockets by default — see SetUDPNodeBinary) and every frame travels as a
 // real UDP datagram. The runtime runs in its deterministic mode, so answers
-// stay bit-identical to the in-process backends. shards <= 0 reverts to the
-// in-process runtimes. WithUDPTransport overrides the choice per session;
-// UseUDPRuntime takes precedence over UseConcurrentRuntime when both are
-// enabled.
+// stay bit-identical to the in-process simulator. Sessions built with the
+// UDP runtime own a shard fleet and should be released with Close when done.
+// shards <= 0 reverts to the simulator. WithUDPTransport overrides the choice
+// per session.
 func (d *Deployment) UseUDPRuntime(shards int) { d.udpShards = shards }
-
-// SetDatagramBatching toggles the UDP runtime's datagram coalescing for
-// sessions and query sets subsequently built from this deployment (default
-// on): all frames a round sends to a shard pack into MTU-bounded batch
-// datagrams, submitted in batched syscalls at the epoch barrier. Answers are
-// bit-identical either way — turning it off restores the one-frame-per-
-// datagram data plane as an A/B lever for benchmarking and parity tests, not
-// a behavioral switch. WithDatagramBatching overrides the choice per session.
-func (d *Deployment) SetDatagramBatching(on bool) { d.udpNoBatch = !on }
 
 // SetUDPNodeBinary points the UDP runtime at a tdnode executable: each shard
 // becomes `path -control <addr> -shard <i>`, a separate OS process. An empty
@@ -309,8 +287,7 @@ func (s *FrequentItemsSession) RunEpoch(epoch int) FrequentItemsResult {
 	}
 }
 
-// Close releases the session's concurrent runtime, if enabled; see
-// Session.Close.
+// Close releases the session's UDP runtime, if enabled; see Session.Close.
 func (s *FrequentItemsSession) Close() { s.s.Close() }
 
 func log2(x float64) float64 { return math.Log2(x) }

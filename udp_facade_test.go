@@ -30,18 +30,10 @@ func TestUDPSessionMatchesSimulator(t *testing.T) {
 	}
 	sim := mk()
 	udp := mk(td.WithUDPTransport(4))
-	unbatched := mk(td.WithUDPTransport(4), td.WithDatagramBatching(false))
 	for e := 0; e < 15; e++ {
-		want := sim.RunEpoch(e)
-		if got := udp.RunEpoch(e); want != got {
+		if want, got := sim.RunEpoch(e), udp.RunEpoch(e); want != got {
 			t.Fatalf("epoch %d: simulator %+v, udp runtime %+v", e, want, got)
 		}
-		if got := unbatched.RunEpoch(e); want != got {
-			t.Fatalf("epoch %d: simulator %+v, unbatched udp runtime %+v", e, want, got)
-		}
-	}
-	if err := unbatched.TransportErr(); err != nil {
-		t.Fatalf("unbatched udp session transport error: %v", err)
 	}
 	if err := udp.TransportErr(); err != nil {
 		t.Fatalf("udp session transport error: %v", err)
@@ -58,8 +50,10 @@ func TestUDPSessionMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestUDPDeploymentDefault pins the Deployment.UseUDPRuntime default and its
-// per-session overrides in both directions.
+// TestUDPDeploymentDefault pins the Deployment.UseUDPRuntime default and the
+// per-session opt-out: a WithUDPTransport(0) session on a UDP deployment
+// runs on the simulator and answers exactly like the deployment's default
+// UDP session.
 func TestUDPDeploymentDefault(t *testing.T) {
 	dep := td.NewSyntheticDeployment(4, 120)
 	dep.SetGlobalLoss(0.2)
@@ -69,35 +63,28 @@ func TestUDPDeploymentDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.RunEpoch(0)
-	if st := s.Stats(); st.RxFrames == 0 {
-		t.Fatal("deployment-default udp session recorded no received frames")
-	}
-	// WithUDPTransport(0) opts this session back onto the in-process path.
 	off, err := td.Open(dep, td.Count(), td.WithUDPTransport(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer off.Close()
-	if off.RunEpoch(0).Epoch != 0 {
-		t.Fatal("opt-out session did not run")
+	for e := 0; e < 3; e++ {
+		if udp, sim := s.RunEpoch(e), off.RunEpoch(e); udp != sim {
+			t.Fatalf("epoch %d: deployment-default udp %+v, opt-out simulator %+v", e, udp, sim)
+		}
 	}
-	// An explicit concurrent-runtime choice overrides the UDP default too.
-	conc, err := td.Open(dep, td.Count(), td.WithConcurrentRuntime(true))
-	if err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.RxFrames == 0 {
+		t.Fatal("deployment-default udp session recorded no received frames")
 	}
-	defer conc.Close()
-	conc.RunEpoch(0)
+	if st, h := off.Stats(), off.TransportHealth(); st.RxFrames != 0 || len(h.Shards) != 0 {
+		t.Fatalf("opt-out session ran a fleet: stats %+v, health %+v", st, h)
+	}
 }
 
 // TestUDPOptionConflicts pins Open's rejection of contradictory runtime
 // options.
 func TestUDPOptionConflicts(t *testing.T) {
 	dep := td.NewSyntheticDeployment(5, 80)
-	if _, err := td.Open(dep, td.Count(), td.WithUDPTransport(2), td.WithConcurrentRuntime(true)); err == nil {
-		t.Fatal("WithUDPTransport + WithConcurrentRuntime accepted")
-	}
 	set := dep.NewQuerySet(1)
 	defer set.Close()
 	if _, err := td.Open(dep, td.Count(), td.InSet(set), td.WithUDPTransport(2)); err == nil {
@@ -161,15 +148,15 @@ func TestQuerySetUDPHammer(t *testing.T) {
 }
 
 // TestMuxSetStatsMatchStandalone is the regression for the multiplexer's
-// SetStats swap: per-member receive accounting over the shared concurrent
-// runtime, accumulated across two Run calls, must match standalone
+// SetStats swap: per-member receive accounting over the shared UDP fleet,
+// accumulated across two Run calls, must match standalone
 // same-seed sessions exactly — for every member, with nothing skewed onto a
 // neighbour's stats.
 func TestMuxSetStatsMatchStandalone(t *testing.T) {
 	const seed, half = 9, 10
 	dep := td.NewSyntheticDeployment(8, 180)
 	dep.SetGlobalLoss(0.3)
-	dep.UseConcurrentRuntime(true)
+	dep.UseUDPRuntime(4)
 	set, _, _, _ := openSetTrio(t, dep, seed)
 	defer set.Close()
 	set.Run(0, half)
@@ -194,8 +181,8 @@ func TestMuxSetStatsMatchStandalone(t *testing.T) {
 	}
 }
 
-// standaloneStats runs each trio query standalone on the concurrent runtime
-// with the set's seed for rounds epochs and returns their stats in trio
+// standaloneStats runs each trio query standalone on the deployment's
+// runtime with the set's seed for rounds epochs and returns their stats in trio
 // order.
 func standaloneStats(t *testing.T, dep *td.Deployment, seed uint64,
 	value func(epoch, node int) float64, rounds int) []td.SessionStats {
