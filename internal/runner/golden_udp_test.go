@@ -30,10 +30,13 @@ func newDetUDP(t *testing.T, nw *network.Net) *transport.UDP {
 // — and compares against the very same golden file. The Deliver verdict
 // comes from the same seeded loss hash as the simulator, and the
 // exactly-once barrier guarantees the data plane keeps up, so not a single
-// answer may move.
+// answer may move. The subtest is named for the batched data plane, the
+// only framing the fleet speaks.
 func TestGoldenAnswersUDPTransport(t *testing.T) {
-	got := goldenRuns(t, func(nw *network.Net) Transport {
-		return newDetUDP(t, nw)
+	t.Run("batched", func(t *testing.T) {
+		got := goldenRuns(t, func(nw *network.Net) Transport {
+			return newDetUDP(t, nw)
+		})
+		compareGolden(t, got)
 	})
-	compareGolden(t, got)
 }

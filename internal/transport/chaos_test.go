@@ -28,6 +28,10 @@ import (
 // loses all of its frames at once) becomes one AddLoss, every duplicated
 // frame one AddDuplicates, reordering costs nothing.
 func TestUDPChaosAccounting(t *testing.T) {
+	t.Run("batched", testUDPChaosAccounting)
+}
+
+func testUDPChaosAccounting(t *testing.T) {
 	seed := uint64(7)
 	f := newFixture(seed, 80)
 	simNet := network.New(f.g, network.Global{P: 0}, seed)
