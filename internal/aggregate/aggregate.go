@@ -98,6 +98,31 @@ type SynopsisRecycler[P, S any] interface {
 	DecodeSynopsisInto(data []byte, dst S) (S, error)
 }
 
+// PartialRecycler is an optional Aggregate extension, the tree-side twin of
+// SynopsisRecycler: aggregates whose partials own heap storage (a summary
+// and a sample for Quantiles, a sample for UniformSample) implement it, and
+// the epoch engine then rebuilds each sender's local and decoded partials in
+// place every epoch instead of allocating fresh ones. MergeTree and
+// FinalizeTree must then also work in the accumulator's own storage for the
+// loop to be allocation-free.
+//
+// Semantics: NewPartial returns a fresh reusable partial; LocalInto,
+// DecodePartialInto and CopyPartialInto must leave dst bit-identical to what
+// Local, DecodePartial and src would give (dst's prior contents are fully
+// overwritten, never folded in) and return dst. A recycled partial is
+// overwritten the next time its owner rebuilds it, so a caller that keeps a
+// partial beyond that copies it with CopyPartialInto.
+type PartialRecycler[V, P any] interface {
+	// NewPartial allocates one reusable partial.
+	NewPartial() P
+	// LocalInto is Local writing into a recycled partial.
+	LocalInto(epoch, node int, v V, dst P) P
+	// DecodePartialInto is DecodePartial writing into a recycled partial.
+	DecodePartialInto(data []byte, dst P) (P, error)
+	// CopyPartialInto overwrites dst with src and returns dst.
+	CopyPartialInto(dst, src P) P
+}
+
 // SynopsisMemoizer is an optional extension alongside SynopsisRecycler:
 // aggregates whose conversion is a pure function of (seed, owner, partial)
 // within a hash-reseeding window implement it, and the epoch engine then
@@ -125,11 +150,12 @@ type SynopsisMemoizer[P, S any] interface {
 }
 
 // SynopsisBatchFuser is an optional Aggregate extension: aggregates whose
-// fusion is commutative, associative and duplicate-insensitive at the bit
-// level (plain sketch OR — Count, Sum, Average) implement it, and the epoch
-// engine then gathers a node's incoming synopses and fuses them in one fused
-// multi-sketch pass (sketch.UnionAllInto) instead of one shape-checked Fuse
-// dispatch per synopsis.
+// fusion can take a whole inbox in one pass implement it — plain sketch OR
+// for Count, Sum and Average (one fused multi-sketch pass,
+// sketch.UnionAllInto), a k-way bottom-k merge plus that union for
+// Quantiles and UniformSample — and the epoch engine then gathers a node's
+// incoming synopses and fuses them at once instead of one Fuse dispatch per
+// synopsis.
 //
 // Semantics: FuseAll must leave acc bit-identical to what the sequential
 // fold acc = Fuse(acc, in[0]); acc = Fuse(acc, in[1]); … would, except that

@@ -193,9 +193,54 @@ func (n *Net) Epoch(epoch int) EpochView {
 // (attempt, from, to) identifiers fold onto the cached prefix exactly as
 // the full hash chain would.
 func (v EpochView) Delivered(attempt, from, to int) bool {
-	p := v.net.Model.LossRate(v.epoch, from, to)
-	h := xrand.Combine(xrand.Combine(xrand.Combine(v.prefix, uint64(attempt)), uint64(from)), uint64(to))
-	return !xrand.Bernoulli(h, p)
+	return v.Sender(attempt, from).Delivered(to)
+}
+
+// SenderView is an EpochView with one transmission's (attempt, from) folded
+// in too, so the legs of one broadcast pay only the receiver's step of the
+// hash chain. Like EpochView it is a pure value.
+type SenderView struct {
+	net         *Net
+	epoch, from int
+	prefix      uint64
+}
+
+// Sender returns the delivery view of the attempt-th transmission of from.
+func (v EpochView) Sender(attempt, from int) SenderView {
+	return SenderView{net: v.net, epoch: v.epoch, from: from,
+		prefix: xrand.Combine(xrand.Combine(v.prefix, uint64(attempt)), uint64(from))}
+}
+
+// Delivered reports whether the view's transmission reached to.
+func (v SenderView) Delivered(to int) bool {
+	p := v.net.Model.LossRate(v.epoch, v.from, to)
+	return !xrand.Bernoulli(xrand.Combine(v.prefix, uint64(to)), p)
+}
+
+// DeliveryCache is a delivery loop's memo of the views it used last: the
+// epoch's and, within it, the current transmission's. A loop that offers
+// each frame to all its receivers before the next frame — a Transport's
+// Deliver — pays the epoch and sender steps of the hash chain once per
+// frame, not per receiver. The zero value is ready; answers are
+// bit-identical to Net.Delivered. Not safe for concurrent use.
+type DeliveryCache struct {
+	epochView            EpochView
+	sender               SenderView
+	epoch, attempt, from int
+	epochSet, senderSet  bool
+}
+
+// Delivered is n.Delivered(epoch, attempt, from, to) through the cache.
+func (c *DeliveryCache) Delivered(n *Net, epoch, attempt, from, to int) bool {
+	if !c.epochSet || c.epoch != epoch || c.epochView.net != n {
+		c.epochView, c.epoch = n.Epoch(epoch), epoch
+		c.epochSet, c.senderSet = true, false
+	}
+	if !c.senderSet || c.attempt != attempt || c.from != from {
+		c.sender, c.attempt, c.from = c.epochView.Sender(attempt, from), attempt, from
+		c.senderSet = true
+	}
+	return c.sender.Delivered(to)
 }
 
 // Stats accumulates the energy-side metrics of Table 1: per-node

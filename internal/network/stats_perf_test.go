@@ -26,7 +26,9 @@ func measureStatsEpochNS() float64 {
 			}
 		}
 	})
-	return float64(res.NsPerOp()) * statsOpsPerTAGEpoch
+	// NsPerOp truncates to whole nanoseconds, which times 600 would move the
+	// reading in 600 ns steps against a budget of a few µs.
+	return float64(res.T.Nanoseconds()) / float64(res.N) * statsOpsPerTAGEpoch
 }
 
 // measureTAGEpochNS times one steady-state epoch of the 600-sensor TAG Count

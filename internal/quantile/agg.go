@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tributarydelta/internal/sample"
@@ -31,6 +32,10 @@ type Partial struct {
 	Sum *Summary
 	// Smp is the subtree's bottom-k sample of the same readings.
 	Smp *sample.Sample
+	// spare is the output summary of MergeTree and FinalizeTree's prune,
+	// swapped with Sum after each, so a recycled partial folds its children
+	// without allocating.
+	spare *Summary
 }
 
 // Synopsis is the delta-side synopsis: the fused bottom-k sample and an FM
@@ -41,6 +46,10 @@ type Synopsis struct {
 	Smp *sample.Sample
 	// Cnt estimates the number of readings represented in Smp's population.
 	Cnt *sketch.Sketch
+	// smps and cnts gather FuseAll's sources, kept with the accumulator so
+	// concurrent fusions into distinct synopses share nothing.
+	smps []*sample.Sample
+	cnts []*sketch.Sketch
 }
 
 // Agg is the Tributary-Delta quantiles aggregate. Construct with NewAgg.
@@ -69,12 +78,19 @@ type Agg struct {
 	// decoding a sample item costs a table lookup, not a hash.
 	ranks *sample.RankMemo
 
-	// scratchSmp/scratchCnt/scratchCnts are the EvalBase delta-merge
-	// accumulators, reused epoch to epoch (EvalBase runs on the dispatch
-	// goroutine only).
-	scratchSmp  *sample.Sample
-	scratchCnt  *sketch.Sketch
-	scratchCnts []*sketch.Sketch
+	// base is EvalBase's scratch, reused epoch to epoch (EvalBase runs on
+	// the dispatch goroutine only).
+	base evalScratch
+}
+
+// evalScratch holds EvalBase's intermediate products: the delta's fused
+// synopsis, its sorted sample values and summary, and two summaries the
+// running merge ping-pongs between. Only the answer handed to the caller is
+// fresh.
+type evalScratch struct {
+	syn             *Synopsis
+	vals            []float64
+	cur, alt, delta *Summary
 }
 
 // NewAgg assembles the quantiles aggregate over a concrete tree (heights
@@ -115,15 +131,40 @@ func (a *Agg) Name() string { return "Quantiles" }
 // Local implements aggregate.Aggregate: a one-reading summary plus the
 // reading's sample entry.
 func (a *Agg) Local(epoch, node int, v float64) *Partial {
-	smp := sample.New(a.K)
-	smp.Add(a.Seed, a.rankEpoch(epoch), node, v)
-	return &Partial{Sum: FromSorted([]float64{v}), Smp: smp}
+	return a.LocalInto(epoch, node, v, a.NewPartial())
+}
+
+// NewPartial implements aggregate.PartialRecycler.
+func (a *Agg) NewPartial() *Partial {
+	return &Partial{Sum: &Summary{}, Smp: sample.New(a.K)}
+}
+
+// LocalInto implements aggregate.PartialRecycler: the exact one-reading
+// summary FromSorted([]float64{v}) and the reading's sample item, whose rank
+// comes from the reseeding window's rank table.
+func (a *Agg) LocalInto(epoch, node int, v float64, dst *Partial) *Partial {
+	dst.Sum.Entries = append(dst.Sum.Entries[:0], Entry{V: v, RMin: 1, RMax: 1})
+	dst.Sum.N, dst.Sum.Eps = 1, 0
+	dst.Smp.Reset()
+	dst.Smp.AddMemo(a.Seed, a.ranks, a.rankEpoch(epoch), node, v)
+	return dst
+}
+
+// CopyPartialInto implements aggregate.PartialRecycler.
+func (a *Agg) CopyPartialInto(dst, src *Partial) *Partial {
+	dst.Sum.CopyFrom(src.Sum)
+	dst.Smp.CopyFrom(src.Smp)
+	return dst
 }
 
 // MergeTree implements aggregate.Aggregate: summaries merge by the
 // mergeable-summaries construction, samples by bottom-k union.
 func (a *Agg) MergeTree(acc, in *Partial) *Partial {
-	acc.Sum = Merge(acc.Sum, in.Sum)
+	if acc.spare == nil {
+		acc.spare = &Summary{}
+	}
+	reserve(acc.spare, len(acc.Sum.Entries)+len(in.Sum.Entries), acc.Sum)
+	acc.Sum, acc.spare = MergeInto(acc.spare, acc.Sum, in.Sum), acc.Sum
 	acc.Smp.Merge(in.Smp)
 	return acc
 }
@@ -138,7 +179,10 @@ func (a *Agg) FinalizeTree(_, node int, p *Partial) *Partial {
 	h := a.heights[node]
 	delta := a.Gradient.Eps(h) - a.Gradient.Eps(h-1)
 	if delta > 0 {
-		p.Sum.Prune(int(math.Ceil(1 / delta)))
+		if p.spare == nil {
+			p.spare = &Summary{}
+		}
+		p.spare.Entries = p.Sum.PruneInto(int(math.Ceil(1/delta)), p.spare.Entries)
 	}
 	return p
 }
@@ -151,19 +195,22 @@ func (a *Agg) AppendPartial(dst []byte, p *Partial) []byte {
 
 // DecodePartial implements aggregate.Aggregate.
 func (a *Agg) DecodePartial(data []byte) (*Partial, error) {
+	return a.DecodePartialInto(data, a.NewPartial())
+}
+
+// DecodePartialInto implements aggregate.PartialRecycler.
+func (a *Agg) DecodePartialInto(data []byte, dst *Partial) (*Partial, error) {
 	r := wire.NewReader(data)
-	sum, err := ReadWire(r)
-	if err != nil {
+	if err := ReadWireInto(r, dst.Sum); err != nil {
 		return nil, err
 	}
-	smp, err := sample.ReadWire(r, a.Seed, a.ranks, a.K)
-	if err != nil {
+	if err := sample.ReadWireInto(r, a.Seed, a.ranks, dst.Smp); err != nil {
 		return nil, err
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return &Partial{Sum: sum, Smp: smp}, nil
+	return dst, nil
 }
 
 // Convert implements aggregate.Aggregate: the boundary conversion hands the
@@ -181,6 +228,19 @@ func (a *Agg) Convert(epoch, owner int, p *Partial) *Synopsis {
 func (a *Agg) Fuse(acc, in *Synopsis) *Synopsis {
 	acc.Smp.Merge(in.Smp)
 	acc.Cnt.Union(in.Cnt)
+	return acc
+}
+
+// FuseAll implements aggregate.SynopsisBatchFuser: one k-way bottom-k merge
+// of the samples and one fused union of the population sketches.
+func (a *Agg) FuseAll(acc *Synopsis, in []*Synopsis) *Synopsis {
+	acc.smps, acc.cnts = acc.smps[:0], acc.cnts[:0]
+	for _, s := range in {
+		acc.smps = append(acc.smps, s.Smp)
+		acc.cnts = append(acc.cnts, s.Cnt)
+	}
+	acc.Smp.MergeAll(acc.smps)
+	sketch.UnionAllInto(acc.Cnt, acc.cnts...)
 	return acc
 }
 
@@ -269,50 +329,53 @@ func (a *Agg) DecodeSynopsis(data []byte) (*Synopsis, error) {
 
 // EvalBase implements aggregate.Aggregate: directly received tree summaries
 // merge exactly; the delta's fused sample becomes a summary scaled to the
-// sketch-estimated delta population; the two merge into the answer.
+// sketch-estimated delta population; the two merge into the answer. Every
+// intermediate lives in the aggregate's scratch; the answer is a fresh copy.
 func (a *Agg) EvalBase(treeParts []*Partial, syns []*Synopsis) *Summary {
-	var root *Summary
-	for _, p := range treeParts {
-		if root == nil {
-			root = p.Sum.Clone()
-		} else {
-			root = Merge(root, p.Sum)
+	sc := &a.base
+	if sc.cur == nil {
+		sc.syn = a.NewSynopsis()
+		sc.cur, sc.alt, sc.delta = &Summary{}, &Summary{}, &Summary{}
+	}
+	have := false
+	fold := func(s *Summary) {
+		if !have {
+			sc.cur.CopyFrom(s)
+			have = true
+			return
 		}
+		reserve(sc.alt, len(sc.cur.Entries)+len(s.Entries), sc.cur)
+		sc.cur, sc.alt = MergeInto(sc.alt, sc.cur, s), sc.cur
+	}
+	for _, p := range treeParts {
+		fold(p.Sum)
 	}
 	if len(syns) > 0 {
-		// Samples must fold pairwise (bottom-k truncation), but the
-		// population sketches compose under plain OR: gather them and run one
-		// fused word-major union instead of a per-synopsis Union loop.
-		if a.scratchSmp == nil {
-			a.scratchSmp = sample.New(a.K)
-			a.scratchCnt = sketch.New(a.CountK)
-		}
-		smp, cnt := a.scratchSmp, a.scratchCnt
-		smp.CopyFrom(syns[0].Smp)
-		a.scratchCnts = a.scratchCnts[:0]
-		for _, s := range syns {
-			a.scratchCnts = append(a.scratchCnts, s.Cnt)
-		}
-		for _, s := range syns[1:] {
-			smp.Merge(s.Smp)
-		}
-		sketch.UnionAllInto(cnt, a.scratchCnts...)
-		if ds := SampleSummary(smp, int64(math.Round(cnt.Estimate()))); ds.N > 0 {
-			if root == nil {
-				root = ds
-			} else {
-				root = Merge(root, ds)
-			}
+		d := a.FuseAll(sc.syn, syns)
+		var ds *Summary
+		ds, sc.vals = sampleSummaryInto(sc.delta, d.Smp, int64(math.Round(d.Cnt.Estimate())), sc.vals)
+		if ds.N > 0 {
+			fold(ds)
 		}
 	}
-	if root == nil {
+	if !have {
 		return &Summary{}
 	}
-	return root
+	return sc.cur.Clone()
 }
 
 // Exact implements aggregate.Aggregate.
 func (a *Agg) Exact(vs []float64) *Summary { return FromUnsorted(vs) }
+
+// reserve makes room in dst, the spare of a ping-pong pair whose other half
+// is peer, for need entries — and, when it must grow, for as many as peer
+// holds room for, so the pair's two arrays grow to one high-water mark
+// whichever half a merge happens to land in.
+func reserve(dst *Summary, need int, peer *Summary) {
+	if cap(dst.Entries) < need {
+		dst.Entries = make([]Entry, 0, max(need, cap(peer.Entries)))
+	}
+}
 
 // SampleSummary builds a rank summary from a bottom-k sample of a population
 // of approximately n readings. When the sample is not full it holds every
@@ -321,21 +384,35 @@ func (a *Agg) Exact(vs []float64) *Summary { return FromUnsorted(vs) }
 // records the sampling noise (the ~1/(2√k) standard deviation of a bottom-k
 // rank estimate — a noise scale, not a hard bound like a prune's).
 func SampleSummary(s *sample.Sample, n int64) *Summary {
+	out, _ := sampleSummaryInto(&Summary{}, s, n, nil)
+	return out
+}
+
+// sampleSummaryInto is SampleSummary writing into dst, with vals as the
+// sort buffer; it returns dst and the buffer for reuse.
+func sampleSummaryInto(dst *Summary, s *sample.Sample, n int64, vals []float64) (*Summary, []float64) {
 	m := s.Len()
 	if m == 0 || n <= 0 {
-		return &Summary{}
+		dst.Entries, dst.N, dst.Eps = dst.Entries[:0], 0, 0
+		return dst, vals
 	}
-	vals := s.Values()
+	vals = vals[:0]
+	for _, it := range s.Items() {
+		vals = append(vals, it.Value)
+	}
 	sort.Float64s(vals)
+	out := slices.Grow(dst.Entries[:0], m)
 	if m < s.K() {
 		// Partial sample: it saw the whole population, exactly.
-		return FromSorted(vals)
+		for i, v := range vals {
+			out = append(out, Entry{V: v, RMin: int64(i + 1), RMax: int64(i + 1)})
+		}
+		dst.Entries, dst.N, dst.Eps = out, int64(m), 0
+		return dst, vals
 	}
 	if n < int64(m) {
 		n = int64(m)
 	}
-	out := &Summary{N: n, Eps: 1 / (2 * math.Sqrt(float64(m)))}
-	out.Entries = make([]Entry, m)
 	prev := int64(0)
 	for i, v := range vals {
 		r := int64(math.Round(float64(i+1) / float64(m) * float64(n)))
@@ -348,8 +425,9 @@ func SampleSummary(s *sample.Sample, n int64) *Summary {
 		if r < prev {
 			r = prev
 		}
-		out.Entries[i] = Entry{V: v, RMin: r, RMax: r}
+		out = append(out, Entry{V: v, RMin: r, RMax: r})
 		prev = r
 	}
-	return out
+	dst.Entries, dst.N, dst.Eps = out, n, 1/(2*math.Sqrt(float64(m)))
+	return dst, vals
 }

@@ -20,7 +20,10 @@
 package quantile
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"tributarydelta/internal/wire"
@@ -92,55 +95,182 @@ func Merge(a, b *Summary) *Summary {
 	if b.N == 0 {
 		return a.Clone()
 	}
-	out := &Summary{N: a.N + b.N}
+	return MergeInto(&Summary{}, a, b)
+}
+
+// MergeInto overwrites dst with Merge(a, b), bit for bit, writing the
+// entries into dst's storage: nothing allocates once dst's entry array has
+// reached len(a.Entries)+len(b.Entries). dst must be neither a nor b.
+//
+// The merged entries are both summaries' entries, rank-adjusted, in (V,
+// RMin) order. When both inputs are value-sorted that order comes from one
+// linear merge of the two adjusted runs; the merge gives up — and the
+// entries are sorted instead — whenever a run is out of order or two
+// distinct entries tie on (V, RMin), the only case where the sort's
+// placement of ties could differ from the merge's.
+func MergeInto(dst, a, b *Summary) *Summary {
+	if a.N == 0 {
+		dst.CopyFrom(b)
+		return dst
+	}
+	if b.N == 0 {
+		dst.CopyFrom(a)
+		return dst
+	}
+	dst.N = a.N + b.N
 	// Weighted error: (Eps_a·N_a + Eps_b·N_b)/(N_a+N_b) ≤ max(Eps_a, Eps_b).
-	out.Eps = (a.Eps*float64(a.N) + b.Eps*float64(b.N)) / float64(a.N+b.N)
-	out.Entries = make([]Entry, 0, len(a.Entries)+len(b.Entries))
-	merge := func(self, other *Summary) {
-		for _, e := range self.Entries {
-			// floor: the largest entry of other with V < e.V (strictly), and
-			// the successor entry.
-			idx := sort.Search(len(other.Entries), func(i int) bool {
-				return other.Entries[i].V >= e.V
-			})
-			var rminAdd, rmaxAdd int64
-			if idx > 0 {
-				rminAdd = other.Entries[idx-1].RMin
-			}
-			if idx < len(other.Entries) {
-				rmaxAdd = other.Entries[idx].RMax - 1
-			} else {
-				rmaxAdd = other.N
-			}
-			out.Entries = append(out.Entries, Entry{
-				V:    e.V,
-				RMin: e.RMin + rminAdd,
-				RMax: e.RMax + rmaxAdd,
-			})
+	dst.Eps = (a.Eps*float64(a.N) + b.Eps*float64(b.N)) / float64(a.N+b.N)
+	out := slices.Grow(dst.Entries[:0], len(a.Entries)+len(b.Entries))
+	out, ok := mergeRuns(out, a, b)
+	if !ok {
+		out = appendAdjusted(out[:0], a, b)
+		out = appendAdjusted(out, b, a)
+		slices.SortFunc(out, cmpEntry)
+	}
+	dst.Entries = out
+	return dst
+}
+
+// CopyFrom overwrites s with other, reusing s's entry storage.
+func (s *Summary) CopyFrom(other *Summary) {
+	s.Entries = append(s.Entries[:0], other.Entries...)
+	s.N, s.Eps = other.N, other.Eps
+}
+
+// adjust returns e, an entry of one summary, with its rank bounds widened
+// by other — the Merge rule — given idx, the first entry of other whose
+// value is not below e.V.
+func adjust(e Entry, other *Summary, idx int) Entry {
+	var rminAdd, rmaxAdd int64
+	if idx > 0 {
+		rminAdd = other.Entries[idx-1].RMin
+	}
+	if idx < len(other.Entries) {
+		rmaxAdd = other.Entries[idx].RMax - 1
+	} else {
+		rmaxAdd = other.N
+	}
+	return Entry{V: e.V, RMin: e.RMin + rminAdd, RMax: e.RMax + rmaxAdd}
+}
+
+// appendAdjusted appends every entry of self, adjusted against other, in
+// self's order.
+func appendAdjusted(dst []Entry, self, other *Summary) []Entry {
+	for _, e := range self.Entries {
+		// floor: the largest entry of other with V < e.V (strictly), and
+		// the successor entry.
+		idx := sort.Search(len(other.Entries), func(i int) bool {
+			return other.Entries[i].V >= e.V
+		})
+		dst = append(dst, adjust(e, other, idx))
+	}
+	return dst
+}
+
+// cmpEntry orders merged entries by value, then by RMin.
+func cmpEntry(x, y Entry) int {
+	if x.V != y.V {
+		if x.V < y.V {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.RMin, y.RMin)
+}
+
+// sameEntry reports bit-identity.
+func sameEntry(x, y Entry) bool {
+	return math.Float64bits(x.V) == math.Float64bits(y.V) && x.RMin == y.RMin && x.RMax == y.RMax
+}
+
+// valueSorted reports whether es ascends by value with no NaN — the inputs
+// on which a moving cursor finds the same floors as appendAdjusted's binary
+// search.
+func valueSorted(es []Entry) bool {
+	for i, e := range es {
+		if e.V != e.V || (i > 0 && es[i-1].V > e.V) {
+			return false
 		}
 	}
-	merge(a, b)
-	merge(b, a)
-	sort.Slice(out.Entries, func(i, j int) bool {
-		if out.Entries[i].V != out.Entries[j].V {
-			return out.Entries[i].V < out.Entries[j].V
+	return true
+}
+
+// mergeRuns appends the adjusted entries of a and b to dst in (V, RMin)
+// order by one linear merge. It reports false — dst then holds garbage —
+// unless that order is the unique sorted order: both inputs value-sorted,
+// each adjusted run ascending, and every (V, RMin) tie between bit-identical
+// entries.
+func mergeRuns(dst []Entry, a, b *Summary) ([]Entry, bool) {
+	ae, be := a.Entries, b.Entries
+	if !valueSorted(ae) || !valueSorted(be) {
+		return dst, false
+	}
+	var i, j, fa, fb int // next entry of a, b; floor cursors into a, b
+	next := func(self []Entry, at int, other *Summary, floor *int) Entry {
+		v := self[at].V
+		for *floor < len(other.Entries) && other.Entries[*floor].V < v {
+			*floor++
 		}
-		return out.Entries[i].RMin < out.Entries[j].RMin
-	})
-	return out
+		return adjust(self[at], other, *floor)
+	}
+	var x, y Entry
+	if len(ae) > 0 {
+		x = next(ae, 0, b, &fb)
+	}
+	if len(be) > 0 {
+		y = next(be, 0, a, &fa)
+	}
+	for i < len(ae) || j < len(be) {
+		takeA := j == len(be)
+		if i < len(ae) && j < len(be) {
+			c := cmpEntry(x, y)
+			if c == 0 && !sameEntry(x, y) {
+				return dst, false
+			}
+			takeA = c <= 0
+		}
+		if takeA {
+			dst = append(dst, x)
+			if i++; i < len(ae) {
+				nx := next(ae, i, b, &fb)
+				if c := cmpEntry(x, nx); c > 0 || (c == 0 && !sameEntry(x, nx)) {
+					return dst, false
+				}
+				x = nx
+			}
+		} else {
+			dst = append(dst, y)
+			if j++; j < len(be) {
+				ny := next(be, j, a, &fa)
+				if c := cmpEntry(y, ny); c > 0 || (c == 0 && !sameEntry(y, ny)) {
+					return dst, false
+				}
+				y = ny
+			}
+		}
+	}
+	return dst, true
 }
 
 // Prune reduces the summary to at most k+1 entries by keeping entries
 // closest to the ranks i·N/k, i = 0..k. It adds N/(2k) rank error, which is
 // recorded in Eps. k must be positive.
-func (s *Summary) Prune(k int) {
+func (s *Summary) Prune(k int) { s.PruneInto(k, nil) }
+
+// PruneInto is Prune writing the kept entries into spare's storage. It
+// returns the buffer to pass as spare next time: s's previous entry array
+// when the prune replaced it, spare itself when nothing needed pruning.
+func (s *Summary) PruneInto(k int, spare []Entry) []Entry {
 	if k <= 0 {
 		panic("quantile: Prune with non-positive k")
 	}
 	if len(s.Entries) <= k+1 {
-		return
+		return spare
 	}
-	kept := make([]Entry, 0, k+1)
+	kept := spare[:0]
+	if cap(kept) < k+1 {
+		kept = make([]Entry, 0, k+1)
+	}
 	for i := 0; i <= k; i++ {
 		target := int64(float64(i) * float64(s.N) / float64(k))
 		if target < 1 {
@@ -151,8 +281,10 @@ func (s *Summary) Prune(k int) {
 			kept = append(kept, e)
 		}
 	}
+	old := s.Entries[:0]
 	s.Entries = kept
 	s.Eps += 1 / float64(2*k)
+	return old
 }
 
 // lookupRank returns the entry whose rank interval is closest to covering r.

@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"fmt"
+	"slices"
 
 	"tributarydelta/internal/wire"
 )
@@ -44,32 +45,39 @@ func DecodeWireSummary(data []byte) (*Summary, error) {
 // Quantiles aggregate's tree partial). The reader is left positioned after
 // the summary; callers compose further fields or Finish.
 func ReadWire(r *wire.Reader) (*Summary, error) {
-	s := &Summary{
-		N:   int64(r.Uvarint()),
-		Eps: r.Float64(),
+	s := &Summary{}
+	if err := ReadWireInto(r, s); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
+
+// ReadWireInto is ReadWire decoding into a recycled summary: dst is fully
+// overwritten (on error its contents are unspecified), and nothing allocates
+// once its entry array has reached the decoded length.
+func ReadWireInto(r *wire.Reader, dst *Summary) error {
+	dst.N = int64(r.Uvarint())
+	dst.Eps = r.Float64()
 	n := r.Count(3) // value + two rank fields, >= 1 byte each
-	if n > 0 {
-		s.Entries = make([]Entry, n)
-	}
+	dst.Entries = slices.Grow(dst.Entries[:0], n)[:n]
 	prevRMin := int64(0)
 	prevV := 0.0
-	for i := range s.Entries {
+	for i := range dst.Entries {
 		v := r.Float64()
 		rmin := prevRMin + r.Varint()
 		rmax := rmin + int64(r.Uvarint())
 		if r.Err() == nil && i > 0 && v < prevV { // canonical form is V-ascending
-			return nil, fmt.Errorf("quantile: entries out of order: %w", wire.ErrMalformed)
+			return fmt.Errorf("quantile: entries out of order: %w", wire.ErrMalformed)
 		}
-		s.Entries[i] = Entry{V: v, RMin: rmin, RMax: rmax}
+		dst.Entries[i] = Entry{V: v, RMin: rmin, RMax: rmax}
 		prevRMin = rmin
 		prevV = v
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if s.N < 0 {
-		return nil, fmt.Errorf("quantile: negative N: %w", wire.ErrMalformed)
+	if dst.N < 0 {
+		return fmt.Errorf("quantile: negative N: %w", wire.ErrMalformed)
 	}
-	return s, nil
+	return nil
 }

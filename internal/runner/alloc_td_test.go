@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime"
 	"testing"
 
 	"tributarydelta/internal/aggregate"
@@ -68,11 +69,66 @@ func TestEpochLowAllocTD(t *testing.T) {
 			t.Fatalf("TD epoch with adaptation allocates %v per op, want 0", n)
 		}
 	})
+	t.Run("quantiles", func(t *testing.T) {
+		f := newFixture(26, 300)
+		agg := goldenQuantiles(f, 26)
+		r, err := New(Config[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary]{
+			Graph: f.g, Rings: f.r, Tree: f.tr,
+			Net:   network.New(f.g, network.Global{P: 0}, 26),
+			Agg:   agg,
+			Value: func(_, node int) float64 { return float64(node % 50) },
+			Mode:  ModeTD, Seed: 26, AdaptEvery: 1 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Loss-free epochs grow every slot's partials to their senders' full
+		// subtrees (pooled synopses are reserved at capacity from the start,
+		// and the summary merges' ping-pong pairs grow in step); a lossy
+		// stretch follows so the measured epochs are not the first of it.
+		epoch := 0
+		for ; epoch < 5; epoch++ {
+			r.RunEpoch(epoch)
+		}
+		r.cfg.Net.Model = network.Global{P: 0.2}
+		for ; epoch < 100; epoch++ {
+			r.RunEpoch(epoch)
+		}
+		// 40 epochs from a reseeding-window start span four windows.
+		const runs = 40
+		windows := runs / agg.ReseedEvery
+		got := mallocs(func() {
+			for i := 0; i < runs; i++ {
+				r.RunEpoch(epoch)
+				epoch++
+			}
+		})
+		// Per epoch: the answer handed to the caller, a *quantile.Summary and
+		// its entry array. Per reseeding window: the rank table of the new
+		// window (a table header and its per-node array).
+		if want := uint64(2*runs + 2*windows); got != want {
+			t.Fatalf("%d steady-state TD Quantiles epochs allocate %d times, want %d (2 per epoch + 2 per reseeding window)",
+				runs, got, want)
+		}
+	})
+}
+
+// mallocs counts the heap allocations fn makes — testing.AllocsPerRun
+// without its integer average, so a pin can state an exact count.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestRecyclerEngagedForAllAggregates pins that every aggregate shipping a
 // synopsis codec also resolves the SynopsisRecycler fast path in the runner
-// — quantile, sample and freq joined Count/Sum/Average in this revision.
+// (quantile, sample and freq besides Count/Sum/Average), and that the
+// heap-backed partials of quantile and sample resolve the PartialRecycler
+// and the batch fuser too.
 func TestRecyclerEngagedForAllAggregates(t *testing.T) {
 	f := newFixture(25, 100)
 
@@ -87,8 +143,8 @@ func TestRecyclerEngagedForAllAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qr.rec == nil {
-		t.Fatal("Quantiles runner did not resolve the SynopsisRecycler fast path")
+	if qr.rec == nil || qr.prec == nil || qr.fuser == nil {
+		t.Fatal("Quantiles runner did not resolve the synopsis/partial recyclers and the batch fuser")
 	}
 
 	sa := aggregate.NewUniformSample(25, 16)
@@ -102,8 +158,8 @@ func TestRecyclerEngagedForAllAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.rec == nil {
-		t.Fatal("UniformSample runner did not resolve the SynopsisRecycler fast path")
+	if sr.rec == nil || sr.prec == nil || sr.fuser == nil {
+		t.Fatal("UniformSample runner did not resolve the synopsis/partial recyclers and the batch fuser")
 	}
 
 	fa := freq.NewAgg(f.tr, freq.MinTotalLoad{Epsilon: 0.01, D: topo.TreeDominationFactor(f.tr, 0.05)},

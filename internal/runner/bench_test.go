@@ -5,6 +5,7 @@ import (
 
 	"tributarydelta/internal/aggregate"
 	"tributarydelta/internal/network"
+	"tributarydelta/internal/quantile"
 	"tributarydelta/internal/sketch"
 	"tributarydelta/internal/topo"
 )
@@ -38,4 +39,48 @@ func BenchmarkRunEpoch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkQuantilesTD times the Quantiles aggregate under TD on a
+// 300-sensor field at 30% loss, with the facade's configuration (k 100,
+// 40-bitmap population sketch, ε 0.02 uniform gradient) and readings
+// node%50: "steady" is one epoch of a warmed runner, "lifecycle" a fresh
+// runner run for 50 epochs — the cycle a short-lived deployment pays.
+func BenchmarkQuantilesTD(b *testing.B) {
+	f := newFixture(1, 300)
+	open := func() *Runner[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary] {
+		r, err := New(Config[float64, *quantile.Partial, *quantile.Synopsis, *quantile.Summary]{
+			Graph: f.g, Rings: f.r, Tree: f.tr,
+			Net:   network.New(f.g, network.Global{P: 0.3}, 1),
+			Agg:   goldenQuantiles(f, 1),
+			Value: func(_, node int) float64 { return float64(node % 50) },
+			Mode:  ModeTD, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	b.Run("steady", func(b *testing.B) {
+		r := open()
+		epoch := 0
+		for ; epoch < 200; epoch++ {
+			r.RunEpoch(epoch)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.RunEpoch(epoch)
+			epoch++
+		}
+	})
+	b.Run("lifecycle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := open()
+			for e := 0; e < 50; e++ {
+				r.RunEpoch(e)
+			}
+		}
+	})
 }

@@ -193,8 +193,8 @@ func TestSynopsisFrameBound(t *testing.T) {
 			t.Fatalf("TopK %d: worst-case frame is %d bytes in a %d-byte slot, bound %d",
 				topK, len(slot.buf), cap(slot.buf), r.maxSynFrame)
 		}
-		var got envelope[int64, *sketch.Sketch]
-		r.decodeFrame(slot.buf, &got)
+		r.decodeFrame(&slot)
+		got := slot.env
 		if got.from != env.from || !slices.Equal(got.topNC, topNC) || got.minNC != env.minNC {
 			t.Fatalf("TopK %d: worst-case frame decodes to from %d top %v min %d", topK, got.from, got.topNC, got.minNC)
 		}
@@ -247,14 +247,15 @@ func TestPayloadCodecsRejectDamagedFrames(t *testing.T) {
 
 	r := countRunner(t, f, ModeTD, network.Global{P: 0}, 11)
 	r.RunEpoch(0)
-	var dst envelope[int64, *sketch.Sketch]
+	var dst frameSlot[int64, *sketch.Sketch]
 	for _, slot := range r.frames {
 		e, err := wire.DecodeEnvelope(slot.buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bad := range payloadDamage(slot.buf, len(e.Payload)) {
-			if !panics(func() { r.decodeFrame(bad, &dst) }) {
+			dst.buf = bad
+			if !panics(func() { r.decodeFrame(&dst) }) {
 				t.Fatalf("decodeFrame accepted % x, a damaged copy of % x", bad, slot.buf)
 			}
 		}

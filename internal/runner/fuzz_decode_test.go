@@ -9,6 +9,7 @@ package runner
 // instance must still decode a known-good payload.
 
 import (
+	"bytes"
 	"testing"
 
 	"tributarydelta/internal/aggregate"
@@ -88,12 +89,50 @@ func synopsisDecoders(f fixture) []fuzzDecoder {
 	}
 }
 
+// recycledDecoders covers every aggregate implementing
+// aggregate.PartialRecycler: each check decodes a payload both ways —
+// DecodePartial, and DecodePartialInto a destination kept dirty across
+// inputs (by earlier decodes, failed ones included) — and fails unless both
+// accept or both reject, and what they accept re-encodes identically.
+func recycledDecoders(f fixture) []func(*testing.T, []byte) {
+	seed := uint64(11)
+	smp := aggregate.NewUniformSample(seed, 16)
+	qa := quantile.NewAgg(f.tr, seed, 32, 16, nil)
+	smpDst := smp.Local(0, 1, 7.0)
+	qaDst := qa.MergeTree(qa.Local(0, 1, 4.5), qa.Local(0, 2, -1))
+	return []func(*testing.T, []byte){
+		func(t *testing.T, data []byte) {
+			checkDecodeInto(t, "sample", data, smp.DecodePartial, smp.DecodePartialInto, smp.AppendPartial, smpDst)
+		},
+		func(t *testing.T, data []byte) {
+			checkDecodeInto(t, "quantile", data, qa.DecodePartial, qa.DecodePartialInto, qa.AppendPartial, qaDst)
+		},
+	}
+}
+
+// checkDecodeInto holds a recycling decoder to its allocating twin on one
+// payload.
+func checkDecodeInto[P any](t *testing.T, name string, data []byte,
+	decode func([]byte) (P, error), into func([]byte, P) (P, error), enc func([]byte, P) []byte, dst P) {
+	t.Helper()
+	want, werr := decode(data)
+	got, gerr := into(data, dst)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%s: DecodePartial error %v, DecodePartialInto error %v", name, werr, gerr)
+	}
+	if werr == nil && !bytes.Equal(enc(nil, got), enc(nil, want)) {
+		t.Fatalf("%s: DecodePartialInto on a dirty destination re-encodes to %x, DecodePartial to %x",
+			name, enc(nil, got), enc(nil, want))
+	}
+}
+
 // fuzzAggregatePayloads is the shared body: treat the input as a full UDP
 // datagram, peel the framing and envelope like a shard would, and feed both
-// the extracted payloads and the raw input to every aggregate decoder. After
-// each hostile decode, the same instance must still accept its known-good
-// encoding — a decoder error may never be sticky.
-func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder) {
+// the extracted payloads and the raw input to every aggregate decoder (and
+// every recycled-destination check). After each hostile decode, the same
+// instance must still accept its known-good encoding — a decoder error may
+// never be sticky.
+func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder, checks ...func(*testing.T, []byte)) {
 	for _, d := range decoders {
 		f.Add(wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 0), 5, wire.AppendEnvelope(nil, &wire.Envelope{
 			Kind: wire.KindTree, From: 2, Contrib: 1, Payload: d.good,
@@ -122,12 +161,21 @@ func fuzzAggregatePayloads(f *testing.F, decoders []fuzzDecoder) {
 				t.Fatalf("%s: decoder poisoned by hostile input, rejects known-good payload: %v", fd.name, err)
 			}
 		}
+		for _, check := range checks {
+			for _, p := range payloads {
+				check(t, p)
+			}
+		}
 	})
 }
 
 // FuzzDecodePartial drives arbitrary bytes through every aggregate's tree
-// partial decoder, framed as a datagram-borne envelope and raw.
-func FuzzDecodePartial(f *testing.F) { fuzzAggregatePayloads(f, partialDecoders(newFixture(11, 60))) }
+// partial decoder, framed as a datagram-borne envelope and raw, and through
+// every recycling partial decoder into a dirty destination.
+func FuzzDecodePartial(f *testing.F) {
+	fx := newFixture(11, 60)
+	fuzzAggregatePayloads(f, partialDecoders(fx), recycledDecoders(fx)...)
+}
 
 // FuzzDecodeSynopsis drives arbitrary bytes through every aggregate's
 // synopsis decoder, framed as a datagram-borne envelope and raw.

@@ -35,17 +35,22 @@ import "tributarydelta/internal/sketch"
 //
 // Everything here is a pure cache: answers, frame bytes and network.Stats
 // accounting are bit-identical with memoization on or off (Config.noMemo) —
-// pinned by TestMemoMatchesNoMemo and the golden matrix. Ground-truth contributor bitsets are simulator metadata derived
-// from the epoch's actual arrivals, so they are always recomputed, never
-// memoized. Adaptation switches relabel vertices and therefore bust every
-// cache (bustMemo); reseeding-period rollovers bust the grain they touch.
+// pinned by TestMemoMatchesNoMemo and the golden matrix. Ground truth is not
+// a frame product at all: the base station's walk over the epoch's actual
+// inboxes (Runner.groundTruth) counts a reused frame's sender like any
+// other. Partials the caches keep across epochs are copies in memo-owned
+// storage, because a recycled partial is rebuilt the next epoch.
+// Adaptation switches relabel vertices and therefore bust every cache
+// (bustMemo); reseeding-period rollovers bust the grain they touch.
 
 // boundaryEntry caches one tree child's conversion products at an M vertex.
 type boundaryEntry[P, S any] struct {
 	from int32
-	// pValid marks syn as Convert(from, p); synSet marks syn allocated.
+	// pValid marks syn as Convert(from, p); synSet and pSet mark syn and
+	// the memo-owned copy p allocated.
 	pValid bool
 	synSet bool
+	pSet   bool
 	// cValid marks contrib as the (from, contribCount) insertion.
 	cValid bool
 	p      P
@@ -64,10 +69,11 @@ type nodeMemo[P, S any] struct {
 	// prevValid marks that the node's frame slot holds a complete frame
 	// from an earlier epoch (the reuse candidate).
 	prevValid bool
-	// ownValid marks ownSyn as the conversion of ownP; ownSynSet marks
-	// ownSyn allocated.
+	// ownValid marks ownSyn as the conversion of ownP; ownSynSet and
+	// ownPSet mark ownSyn and the memo-owned copy ownP allocated.
 	ownValid  bool
 	ownSynSet bool
+	ownPSet   bool
 	ownP      P
 	ownSyn    S
 	// prevSenders is the inbox sender sequence of the last built epoch.
@@ -149,14 +155,13 @@ func (r *Runner[V, P, S, R]) bustMemo() {
 	}
 }
 
-// tryReuseFrame is the clean-path check for node v: if every input of v's
-// outgoing frame is provably unchanged since the last built epoch, and that
-// epoch shipped §4.2 statistics exactly when this one does, the frame bytes
-// are reused as they are, and the whole build+fuse+encode pipeline is
-// skipped. Ground-truth contributors are recomputed from this epoch's actual
-// arrivals regardless. Returns false — after recording v as not clean —
-// whenever anything moved.
-func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
+// tryReuseFrame is the clean-path check for node v, whose local result this
+// epoch is own: if every input of v's outgoing frame is provably unchanged
+// since the last built epoch, and that epoch shipped §4.2 statistics exactly
+// when this one does, the frame bytes are reused as they are, and the whole
+// build+fuse+encode pipeline is skipped. Returns false — after recording v
+// as not clean — whenever anything moved.
+func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int, own P) bool {
 	nm := &r.memoState[v]
 	if !r.state.IsM(v) {
 		// T vertices take the plain path: their build is a cheap exact fold,
@@ -165,7 +170,6 @@ func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
 		return false
 	}
 	in := r.inbox[v]
-	own := r.cfg.Agg.Local(epoch, v, r.cfg.Value(r.valueEpoch(epoch, v), v))
 	clean := r.keysStable && nm.prevValid && nm.ownValid &&
 		r.frames[slot].ncEpoch == r.ncEpoch(epoch) &&
 		r.memo.PartialEqual(nm.ownP, own) && len(in) == len(nm.prevSenders)
@@ -190,16 +194,7 @@ func (r *Runner[V, P, S, R]) tryReuseFrame(epoch, v, slot int) bool {
 		}
 	}
 	nm.clean = clean
-	if !clean {
-		return false
-	}
-	contributors := r.contribArena[v*r.words : (v+1)*r.words]
-	setBit(contributors, v)
-	for _, idx := range in {
-		orBits(contributors, r.frames[idx].env.contributors)
-	}
-	r.envs[slot].contributors = contributors
-	return true
+	return clean
 }
 
 // recordMemo captures node v's inbox sender sequence after a full (dirty)

@@ -23,11 +23,12 @@
 // pure function of (seed, epoch, ids) split through internal/xrand, so
 // answers do not depend on the order runs or deployments are scheduled in.
 //
-// The runner also maintains ground truth: every envelope is accompanied by
-// a bitset of the sensors actually represented in it, so experiments can
-// separate communication error from approximation error (Table 1's error
-// decomposition). The bitset is simulator metadata — it rides next to the
-// frame, never inside it, and is not charged to the energy accounting.
+// The runner also maintains ground truth: after each epoch it walks the
+// epoch's deliveries back from the base station to find the sensors actually
+// represented in the answer, so experiments can separate communication error
+// from approximation error (Table 1's error decomposition). The walk is
+// simulator bookkeeping — nothing of it rides in a frame or is charged to
+// the energy accounting.
 package runner
 
 import (
@@ -222,11 +223,13 @@ type Runner[V, P, S, R any] struct {
 	schedLevel []int
 	maxLevel   int
 	sensors    int // reachable sensors (the denominator of % contributing)
-	words      int // bitset words per envelope
+	words      int // words of the ground-truth contributor bitset
 	// lastContributors is the ground-truth bitset of the most recent epoch,
 	// exposed for diagnostics and tests; it is overwritten by the next
 	// epoch.
 	lastContributors []uint64
+	// reach is the ground-truth walk's stack of reached senders.
+	reach []int32
 	// transport carries encoded frames (the simulator unless overridden);
 	// marker is its optional epoch-barrier extension, resolved once.
 	transport Transport
@@ -234,6 +237,10 @@ type Runner[V, P, S, R any] struct {
 	// rec is the aggregate's optional synopsis-recycling fast path,
 	// resolved once; nil falls back to the allocating Convert/Decode.
 	rec aggregate.SynopsisRecycler[P, S]
+	// prec is the partial-recycling fast path, resolved once: each sender's
+	// local and decoded partials are rebuilt in its frame slot's storage.
+	// Nil falls back to the allocating Local/DecodePartial.
+	prec aggregate.PartialRecycler[V, P]
 	// maxSynBytes and maxSynFrame are the aggregate's optional bound on an
 	// encoded synopsis and the framed envelope around it (0 when the
 	// aggregate gives none): the sizes the encode scratch and synopsis
@@ -267,10 +274,6 @@ type Runner[V, P, S, R any] struct {
 	memoPrimed     bool
 	prevAggKey     uint64
 	prevContribKey uint64
-	// contribArena backs every node's ground-truth contributor bitset for
-	// one epoch: node v owns contribArena[v*words:(v+1)*words]. The arena is
-	// cleared (not reallocated) between epochs.
-	contribArena []uint64
 	// byLevel is the transmission schedule: the participating nodes of
 	// each level. Static within a run unless a ChurnReparent fires in tree
 	// mode (depths change), which rebuilds it via rebuildSchedule.
@@ -342,11 +345,22 @@ type frameSlot[P, S any] struct {
 	// §4.2 statistics (see Runner.ncEpoch): a memoized frame is reused only
 	// on an epoch of the same kind.
 	ncEpoch bool
+	// own and dec are the sender's recycled partials (under a
+	// PartialRecycler): its local result, folded with its children's when
+	// it is a tree vertex, and the decoded copy its receivers read; syn and
+	// decSyn are the same two roles for a multi-path sender's synopsis
+	// (under a SynopsisRecycler). Owned by the slot rather than drawn from
+	// a pool, each stays at its own sender's size whatever the loss pattern.
+	own, dec          P
+	syn, decSyn       S
+	ownSet, decSet    bool
+	synSet, decSynSet bool
 }
 
 // epochScratch is the runner's reusable per-epoch scratch: the decode arena,
-// the recycled contributing-Count and synopsis pools, the outgoing top-NC
-// buffer and the encode buffers. Pools reset each epoch.
+// the recycled contributing-Count pool, the pool of boundary conversions
+// made without the memo, the outgoing top-NC buffer and the encode buffers.
+// Pools reset each epoch.
 type epochScratch[P, S any] struct {
 	dec        wire.Decoder
 	skPool     contribSketchPool
@@ -433,24 +447,17 @@ type EpochMarker interface {
 
 // simTransport adapts network.Net to the Transport seam: delivery is a pure
 // function of (seed, epoch, attempt, from, to); the frame travels by
-// staying in memory. The per-epoch delivery view caches the epoch half of
-// the loss hash chain; Deliver is called from one goroutine per the
-// Transport contract, so the plain fields are race-free.
+// staying in memory. The delivery cache folds the epoch and the sender into
+// the loss hash chain once per frame, not per broadcast leg; Deliver is
+// called from one goroutine per the Transport contract, so it is race-free.
 type simTransport struct {
-	net     *network.Net
-	view    network.EpochView
-	viewSet bool
-	viewEpo int
+	net   *network.Net
+	links network.DeliveryCache
 }
 
 // Deliver implements Transport.
 func (t *simTransport) Deliver(epoch, attempt, from, to int, _ []byte) bool {
-	if !t.viewSet || t.viewEpo != epoch {
-		t.view = t.net.Epoch(epoch)
-		t.viewSet = true
-		t.viewEpo = epoch
-	}
-	return t.view.Delivered(attempt, from, to)
+	return t.links.Delivered(t.net, epoch, attempt, from, to)
 }
 
 type envelope[P, S any] struct {
@@ -468,9 +475,6 @@ type envelope[P, S any] struct {
 	topNC   []int
 	minNC   int
 	ncValid bool
-	// contributors is the ground-truth bitset of represented sensors. It is
-	// simulator bookkeeping, never serialized into the frame.
-	contributors []uint64
 }
 
 // New validates the configuration and prepares a runner.
@@ -559,6 +563,7 @@ func New[V, P, S, R any](cfg Config[V, P, S, R]) (*Runner[V, P, S, R], error) {
 	}
 	r.marker, _ = r.transport.(EpochMarker)
 	r.rec, _ = cfg.Agg.(aggregate.SynopsisRecycler[P, S])
+	r.prec, _ = cfg.Agg.(aggregate.PartialRecycler[V, P])
 	if sz, ok := cfg.Agg.(aggregate.SynopsisSizer); ok {
 		r.maxSynBytes = sz.MaxSynopsisBytes()
 		r.maxSynFrame = wire.MaxSynopsisEnvelopeBytes(
@@ -871,11 +876,6 @@ func (r *Runner[V, P, S, R]) RunEpoch(epoch int) EpochResult[R] {
 			r.inbox[v] = r.inbox[v][:0]
 		}
 	}
-	if r.contribArena == nil {
-		r.contribArena = make([]uint64, n*r.words)
-	} else {
-		clear(r.contribArena)
-	}
 	for i := range r.frames {
 		r.frames[i].needed = false
 	}
@@ -934,8 +934,6 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 	cs := r.baseCS
 	cs.Reset()
 	contribSrcs := r.baseContribSrcs[:0]
-	contributors := r.baseContrib
-	clear(contributors)
 	baseChildContrib := r.baseChildContrib
 	clear(baseChildContrib)
 	shipNC := r.ncEpoch(epoch)
@@ -962,7 +960,6 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 				ncValid = true
 			}
 		}
-		orBits(contributors, e.contributors)
 	}
 	if len(contribSrcs) > 0 {
 		// cs was just Reset, so the plain overwrite semantics of the fused
@@ -972,6 +969,7 @@ func (r *Runner[V, P, S, R]) evalBase(epoch int) EpochResult[R] {
 	r.baseContribSrcs = contribSrcs
 	answer := r.cfg.Agg.EvalBase(treeParts, syns)
 	estContrib := float64(exactContrib) + cs.Estimate()
+	contributors := r.groundTruth()
 	r.lastContributors = contributors
 	r.baseTreeParts = treeParts
 	r.baseSyns = syns
@@ -1051,10 +1049,11 @@ func (r *Runner[V, P, S, R]) Run(epochs int) []EpochResult[R] {
 func (r *Runner[V, P, S, R]) buildLevel(epoch int, nodes []int, off int) {
 	for i, v := range nodes {
 		slot := off + i
-		if r.memoOn && r.tryReuseFrame(epoch, v, slot) {
+		own := r.local(epoch, v, &r.frames[slot])
+		if r.memoOn && r.tryReuseFrame(epoch, v, slot, own) {
 			continue
 		}
-		r.buildEnvelope(epoch, v, r.inbox[v], &r.envs[slot])
+		r.buildEnvelope(epoch, v, own, slot)
 		r.encodeFrame(epoch, &r.envs[slot], &r.frames[slot])
 		if r.memoOn {
 			r.recordMemo(v)
@@ -1072,23 +1071,83 @@ func (r *Runner[V, P, S, R]) decodeLevel(nodes []int, off int) {
 		if !f.needed {
 			continue
 		}
-		r.decodeFrame(f.buf, &f.env)
-		f.env.contributors = r.envs[off+i].contributors
+		r.decodeFrame(f)
 	}
 }
 
-// buildEnvelope assembles node v's outgoing partial result from its own
-// reading and its inbox into *out, drawing every recycled object from the
-// runner's scratch. The contributor bitset lives in the runner's per-epoch
-// arena.
+// local is node v's local result for the epoch, rebuilt in the sender's
+// frame slot when the aggregate recycles partials.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelope[P, S]) {
+func (r *Runner[V, P, S, R]) local(epoch, v int, f *frameSlot[P, S]) P {
+	val := r.cfg.Value(r.valueEpoch(epoch, v), v)
+	if r.prec == nil {
+		return r.cfg.Agg.Local(epoch, v, val)
+	}
+	if !f.ownSet {
+		f.own, f.ownSet = r.prec.NewPartial(), true
+	}
+	return r.prec.LocalInto(epoch, v, val, f.own)
+}
+
+// keepPartial copies p into storage the caller owns across epochs (*dst,
+// allocated on first use) when p is recycled storage, and returns the copy;
+// without a PartialRecycler partials are never rebuilt in place, so p itself
+// is kept.
+func (r *Runner[V, P, S, R]) keepPartial(dst *P, set *bool, p P) P {
+	if r.prec == nil {
+		return p
+	}
+	if !*set {
+		*dst, *set = r.prec.NewPartial(), true
+	}
+	return r.prec.CopyPartialInto(*dst, p)
+}
+
+// groundTruth walks the epoch's deliveries back from the base station and
+// returns the bitset of sensors represented in its answer: every sender in
+// the base station's inbox, then, transitively, every sender in a reached
+// node's inbox that the node folded in — all of them at an M vertex, the
+// tree partials only at a T vertex. Inboxes are complete when the walk runs,
+// and a node's inbox holds exactly what it folded when it built its frame.
+func (r *Runner[V, P, S, R]) groundTruth() []uint64 {
+	if r.baseContrib == nil {
+		r.baseContrib = make([]uint64, r.words)
+	}
+	seen := r.baseContrib
+	clear(seen)
+	stack := r.reach[:0]
+	mark := func(in []int32, treeOnly bool) {
+		for _, idx := range in {
+			e := &r.frames[idx].env
+			if treeOnly && !e.isTree {
+				continue
+			}
+			if w, b := e.from/64, uint64(1)<<uint(e.from%64); seen[w]&b == 0 {
+				seen[w] |= b
+				stack = append(stack, int32(e.from))
+			}
+		}
+	}
+	mark(r.inbox[topo.Base], false)
+	for len(stack) > 0 {
+		u := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		mark(r.inbox[u], !r.state.IsM(u))
+	}
+	r.reach = stack
+	return seen
+}
+
+// buildEnvelope assembles node v's outgoing partial result from its local
+// result own and its inbox into the envelope of its arena slot, drawing
+// every recycled object from the slot or the runner's scratch.
+//
+//td:hotpath
+func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, own P, slot int) {
 	agg := r.cfg.Agg
 	sc := &r.scratch
-	own := agg.Local(epoch, v, r.cfg.Value(r.valueEpoch(epoch, v), v))
-	contributors := r.contribArena[v*r.words : (v+1)*r.words]
-	setBit(contributors, v)
+	in, out, f := r.inbox[v], &r.envs[slot], &r.frames[slot]
 
 	if !r.state.IsM(v) {
 		// Tree vertex: fold children's exact partials (only tree envelopes
@@ -1103,13 +1162,9 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelo
 			}
 			p = agg.MergeTree(p, e.p)
 			contrib += e.contribTree
-			orBits(contributors, e.contributors)
 		}
 		p = agg.FinalizeTree(epoch, v, p)
-		*out = envelope[P, S]{
-			from: v, isTree: true, p: p,
-			contribTree: contrib, contributors: contributors,
-		}
+		*out = envelope[P, S]{from: v, isTree: true, p: p, contribTree: contrib}
 		return
 	}
 
@@ -1128,24 +1183,24 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelo
 	if r.memoOn {
 		nm = &r.memoState[v]
 		if !nm.ownValid || !r.memo.PartialEqual(nm.ownP, own) {
-			if !nm.ownSynSet {
-				nm.ownSyn = r.rec.NewSynopsis()
-				nm.ownSynSet = true
-			}
-			nm.ownSyn = r.rec.ConvertInto(epoch, v, own, nm.ownSyn)
-			nm.ownP = own
+			nm.ownSyn = r.rec.ConvertInto(epoch, v, own, r.keptSyn(&nm.ownSyn, &nm.ownSynSet))
+			nm.ownP = r.keepPartial(&nm.ownP, &nm.ownPSet, own)
 			nm.ownValid = true
 		}
 		if batch {
 			// FuseAll overwrites its accumulator, so the cached own-base
 			// synopsis joins the source list instead of being copied first.
-			s = sc.getSyn(r.rec)
+			s = r.keptSyn(&f.syn, &f.synSet)
 			sc.fuseSrcs = append(sc.fuseSrcs, nm.ownSyn)
 		} else {
-			s = r.memo.CopySynopsisInto(sc.getSyn(r.rec), nm.ownSyn)
+			s = r.memo.CopySynopsisInto(r.keptSyn(&f.syn, &f.synSet), nm.ownSyn)
 		}
 	} else {
-		s = r.convert(epoch, v, own)
+		if r.rec != nil {
+			s = r.rec.ConvertInto(epoch, v, own, r.keptSyn(&f.syn, &f.synSet))
+		} else {
+			s = agg.Convert(epoch, v, own)
+		}
 		if batch {
 			// s carries real content here: listing the accumulator among
 			// the sources makes FuseAll fold it rather than overwrite it.
@@ -1184,12 +1239,8 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelo
 					cs.Union(be.contrib)
 				}
 				if !be.pValid || !r.memo.PartialEqual(be.p, e.p) {
-					if !be.synSet {
-						be.syn = r.rec.NewSynopsis()
-						be.synSet = true
-					}
-					be.syn = r.rec.ConvertInto(epoch, e.from, e.p, be.syn)
-					be.p = e.p
+					be.syn = r.rec.ConvertInto(epoch, e.from, e.p, r.keptSyn(&be.syn, &be.synSet))
+					be.p = r.keepPartial(&be.p, &be.pSet, e.p)
 					be.pValid = true
 				}
 				if batch {
@@ -1225,7 +1276,6 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelo
 				ncValid = true
 			}
 		}
-		orBits(contributors, e.contributors)
 	}
 	if batch {
 		s = r.fuser.FuseAll(s, sc.fuseSrcs)
@@ -1252,8 +1302,16 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, in []int32, out *envelo
 	*out = envelope[P, S]{
 		from: v, isTree: false, s: s,
 		contribSk: cs, topNC: topNC, minNC: minNC, ncValid: ncValid,
-		contributors: contributors,
 	}
+}
+
+// keptSyn returns *dst, a recycled synopsis its caller keeps (a frame slot's
+// or a memo entry's), allocating it on first use.
+func (r *Runner[V, P, S, R]) keptSyn(dst *S, set *bool) S {
+	if !*set {
+		*dst, *set = r.rec.NewSynopsis(), true
+	}
+	return *dst
 }
 
 // convert applies the tree→multi-path conversion, through the recycling
@@ -1295,17 +1353,18 @@ func (r *Runner[V, P, S, R]) encodeFrame(epoch int, env *envelope[P, S], slot *f
 	slot.ncEpoch = r.ncEpoch(epoch)
 }
 
-// decodeFrame reconstructs an envelope from received bytes into *dst, fully
-// overwriting every field (the slot's envelope persists for the whole epoch
-// — receivers and the base station reference it by index — and is recycled
-// only by the next epoch's build/decode of the same sender). The runner
-// produced the frame itself, so a decode failure is a codec bug, not a
-// network condition — it panics rather than silently dropping data.
+// decodeFrame reconstructs the slot's envelope from its received bytes,
+// fully overwriting every field (the slot's envelope persists for the whole
+// epoch — receivers and the base station reference it by index — and is
+// recycled only by the next epoch's build/decode of the same sender). The
+// runner produced the frame itself, so a decode failure is a codec bug, not
+// a network condition — it panics rather than silently dropping data.
 //
 //td:hotpath
-func (r *Runner[V, P, S, R]) decodeFrame(frame []byte, dst *envelope[P, S]) {
+func (r *Runner[V, P, S, R]) decodeFrame(f *frameSlot[P, S]) {
 	sc := &r.scratch
-	we, err := sc.dec.Decode(frame)
+	dst := &f.env
+	we, err := sc.dec.Decode(f.buf)
 	if err != nil {
 		panic(fmt.Sprintf("runner: corrupt frame: %v", err))
 	}
@@ -1314,7 +1373,15 @@ func (r *Runner[V, P, S, R]) decodeFrame(frame []byte, dst *envelope[P, S]) {
 	dst.from = int(we.From)
 	switch we.Kind {
 	case wire.KindTree:
-		p, err := r.cfg.Agg.DecodePartial(we.Payload)
+		var p P
+		if r.prec != nil {
+			if !f.decSet {
+				f.dec, f.decSet = r.prec.NewPartial(), true
+			}
+			p, err = r.prec.DecodePartialInto(we.Payload, f.dec)
+		} else {
+			p, err = r.cfg.Agg.DecodePartial(we.Payload)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("runner: corrupt tree partial from %d: %v", dst.from, err))
 		}
@@ -1329,7 +1396,7 @@ func (r *Runner[V, P, S, R]) decodeFrame(frame []byte, dst *envelope[P, S]) {
 	case wire.KindSynopsis:
 		var s S
 		if r.rec != nil {
-			s, err = r.rec.DecodeSynopsisInto(we.Payload, sc.getSyn(r.rec))
+			s, err = r.rec.DecodeSynopsisInto(we.Payload, r.keptSyn(&f.decSyn, &f.decSynSet))
 		} else {
 			s, err = r.cfg.Agg.DecodeSynopsis(we.Payload)
 		}
@@ -1405,14 +1472,6 @@ func (r *Runner[V, P, S, R]) deliver(epoch, v, slot int, env *envelope[P, S]) {
 		} else {
 			r.Stats.AddLoss(v)
 		}
-	}
-}
-
-func setBit(bits []uint64, i int) { bits[i/64] |= 1 << uint(i%64) }
-
-func orBits(dst, src []uint64) {
-	for i := range src {
-		dst[i] |= src[i]
 	}
 }
 

@@ -10,6 +10,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tributarydelta/internal/wire"
@@ -71,8 +72,14 @@ func (s *Sample) Items() []Item { return s.items }
 // sample that already contains it — cannot inflate its weight. It panics if
 // the sample already holds items of another rank epoch.
 func (s *Sample) Add(seed uint64, epoch, node int, value float64) {
+	s.AddMemo(seed, nil, epoch, node, value)
+}
+
+// AddMemo is Add with the rank looked up in memo's table for the rank epoch
+// (a nil memo hashes it) — the same rank either way, so the same sample.
+func (s *Sample) AddMemo(seed uint64, memo *RankMemo, epoch, node int, value float64) {
 	s.adoptEpoch(uint64(epoch))
-	s.insert(Item{Rank: Rank(seed, uint64(epoch), uint64(node)), Node: node, Value: value})
+	s.insert(Item{Rank: memo.Rank(seed, uint64(epoch), uint64(node)), Node: node, Value: value})
 }
 
 // adoptEpoch makes epoch the sample's rank epoch: an empty sample takes it,
@@ -104,7 +111,15 @@ func (s *Sample) insert(it Item) {
 
 // Merge folds other into s. Merge is commutative, associative and
 // idempotent. Both samples must have the same capacity and, unless one is
-// empty, the same rank epoch; it panics otherwise.
+// empty, the same rank epoch; it panics otherwise. Of two items with the
+// same rank (the same identity) s keeps its own.
+//
+// The fold is linear and in place: a forward pass over both rank-sorted
+// lists finds how many items of each survive the bottom-k cut, and a
+// backward pass merges exactly those into s's own array from its far end,
+// where the write position never overtakes an unread item of s. No second
+// buffer is needed, so a recycled sample merges without allocating once its
+// array has reached k.
 func (s *Sample) Merge(other *Sample) {
 	if s.k != other.k {
 		panic("sample: merging samples of different capacities")
@@ -113,8 +128,66 @@ func (s *Sample) Merge(other *Sample) {
 		return
 	}
 	s.adoptEpoch(other.epoch)
-	for _, it := range other.items {
-		s.insert(it)
+	a, b := s.items, other.items // a == b for a self-merge: every item is a duplicate
+	i, j, n := 0, 0, 0           // items of a and of b in the cut, and its length
+	for n < s.k && i < len(a) && j < len(b) {
+		ra, rb := a[i].Rank, b[j].Rank
+		if ra <= rb {
+			i++
+		}
+		if rb <= ra {
+			j++
+		}
+		n++
+	}
+	// One side is spent (or the cut is full): the other's rest fills the cut.
+	if d := min(len(a)-i, s.k-n); d > 0 {
+		i, n = i+d, n+d
+	} else if d := min(len(b)-j, s.k-n); d > 0 {
+		j, n = j+d, n+d
+	}
+	if n > len(a) {
+		a = slices.Grow(a, n-len(a))
+	}
+	a = a[:n]
+	w := n - 1
+	for i > 0 && j > 0 {
+		if ra, rb := a[i-1].Rank, b[j-1].Rank; ra >= rb {
+			a[w] = a[i-1]
+			i--
+			if ra == rb {
+				j--
+			}
+		} else {
+			a[w] = b[j-1]
+			j--
+		}
+		w--
+	}
+	copy(a, b[:j]) // a is spent: the rest of the cut is b's
+	s.items = a
+}
+
+// MergeAll overwrites s with the bottom-k union of in — bit-identical to
+// copying in[0] into s and folding in[1:] with Merge in order, which is how
+// it runs: at an inbox's fan-in (a handful of inputs, most far below k) one
+// linear merge per input beats a k-way merge's scan of every input's head
+// per emitted item. s's prior items fold in only when s itself is in[0];
+// s may appear nowhere else in in. Every input must have s's capacity, and
+// the non-empty ones one rank epoch; it panics otherwise.
+func (s *Sample) MergeAll(in []*Sample) {
+	if len(in) == 0 {
+		s.Reset()
+		return
+	}
+	if in[0] != s {
+		s.CopyFrom(in[0])
+	}
+	for _, o := range in[1:] {
+		if o == s {
+			panic("sample: MergeAll accumulator among its later inputs")
+		}
+		s.Merge(o)
 	}
 }
 

@@ -53,6 +53,14 @@ type rankTable struct {
 // NewRankMemo returns a memo covering node ids [0, nodes).
 func NewRankMemo(nodes int) *RankMemo { return &RankMemo{n: nodes} }
 
+// Rank returns Rank(seed, epoch, node), from the table when node is in it.
+func (m *RankMemo) Rank(seed, epoch, node uint64) uint64 {
+	if ranks := m.ranks(seed, epoch); node < uint64(len(ranks)) {
+		return ranks[node]
+	}
+	return Rank(seed, epoch, node)
+}
+
 // ranks returns the rank table of (seed, epoch), nil for a nil memo.
 func (m *RankMemo) ranks(seed, epoch uint64) []uint64 {
 	if m == nil {

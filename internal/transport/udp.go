@@ -302,14 +302,13 @@ type udpShard struct {
 type UDP struct {
 	nw   *network.Net
 	opts UDPOptions
-	// view caches the current epoch's delivery view (the pre-folded loss
-	// hash prefix); touched only by the dispatch goroutine inside Deliver.
-	view      network.EpochView
-	viewEpoch int
-	viewSet   bool
-	conn      *net.UDPConn
-	io        *batchio.Sender
-	ioc       batchio.Counters
+	// links caches the delivery views of the current epoch and frame (the
+	// pre-folded loss hash prefixes); touched only by the dispatch
+	// goroutine inside Deliver.
+	links network.DeliveryCache
+	conn  *net.UDPConn
+	io    *batchio.Sender
+	ioc   batchio.Counters
 	// ln is the control listener, kept open for the transport's lifetime so
 	// respawned shards can rejoin mid-run; ctrlAddr is its address, what
 	// the Spawner is told.
@@ -574,12 +573,7 @@ func (u *UDP) sealBatch(sh *udpShard) {
 // dead shard or oversized frame lets the runner account the loss as usual.
 func (u *UDP) Deliver(epoch, attempt, from, to int, frame []byte) bool {
 	if u.opts.Deterministic {
-		if !u.viewSet || u.viewEpoch != epoch {
-			u.view = u.nw.Epoch(epoch)
-			u.viewSet = true
-			u.viewEpoch = epoch
-		}
-		if !u.view.Delivered(attempt, from, to) {
+		if !u.links.Delivered(u.nw, epoch, attempt, from, to) {
 			return false
 		}
 	}

@@ -148,8 +148,18 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Uvarint reads an unsigned LEB128 varint.
+// Uvarint reads an unsigned LEB128 varint. A one-byte varint — most of
+// what the codecs write — takes an inlined fast path.
 func (r *Reader) Uvarint() uint64 {
+	if buf := r.buf[r.off:]; len(buf) > 0 && buf[0] < 0x80 && r.err == nil {
+		r.off++
+		return uint64(buf[0])
+	}
+	return r.uvarint()
+}
+
+// uvarint is Uvarint's general path.
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
