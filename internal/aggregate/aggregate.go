@@ -81,9 +81,9 @@ type Aggregate[V, P, S, R any] interface {
 
 // SynopsisRecycler is an optional Aggregate extension: aggregates whose
 // synopses can be rebuilt in place implement it, and the epoch engine then
-// recycles synopses through per-worker pools instead of allocating one per
-// Convert and per decoded frame — the difference between thousands of
-// allocations per epoch and none.
+// rebuilds each sender's synopses in storage its frame slot (or memo entry)
+// keeps instead of allocating one per Convert and per decoded frame — the
+// difference between thousands of allocations per epoch and none.
 //
 // Semantics: NewSynopsis returns a fresh reusable synopsis; ConvertInto and
 // DecodeSynopsisInto must leave dst bit-identical to what Convert and

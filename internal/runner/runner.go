@@ -347,10 +347,12 @@ type frameSlot[P, S any] struct {
 	ncEpoch bool
 	// own and dec are the sender's recycled partials (under a
 	// PartialRecycler): its local result, folded with its children's when
-	// it is a tree vertex, and the decoded copy its receivers read; syn and
-	// decSyn are the same two roles for a multi-path sender's synopsis
-	// (under a SynopsisRecycler). Owned by the slot rather than drawn from
-	// a pool, each stays at its own sender's size whatever the loss pattern.
+	// it is a tree vertex, and the decoded copy its receivers read. syn and
+	// decSyn are its recycled synopses (under a SynopsisRecycler): a
+	// multi-path sender's outgoing synopsis and its decoded copy — for a
+	// tree sender at the boundary, syn holds the receiver's conversion of
+	// its partial. Owned by the slot rather than drawn from a shared pool,
+	// each stays at its own sender's size whatever the loss pattern.
 	own, dec          P
 	syn, decSyn       S
 	ownSet, decSet    bool
@@ -358,14 +360,11 @@ type frameSlot[P, S any] struct {
 }
 
 // epochScratch is the runner's reusable per-epoch scratch: the decode arena,
-// the recycled contributing-Count pool, the pool of boundary conversions
-// made without the memo, the outgoing top-NC buffer and the encode buffers.
-// Pools reset each epoch.
+// the recycled contributing-Count pool, the outgoing top-NC buffer and the
+// encode buffers. The pool resets each epoch.
 type epochScratch[P, S any] struct {
 	dec        wire.Decoder
 	skPool     contribSketchPool
-	synPool    []S
-	synNext    int
 	topNC      []int
 	payloadBuf []byte
 	contribBuf []byte
@@ -375,24 +374,10 @@ type epochScratch[P, S any] struct {
 	contribSrcs []*sketch.Sketch
 }
 
-// getSyn hands out a recycled synopsis from the pool.
-func (sc *epochScratch[P, S]) getSyn(rec aggregate.SynopsisRecycler[P, S]) S {
-	if sc.synNext < len(sc.synPool) {
-		s := sc.synPool[sc.synNext]
-		sc.synNext++
-		return s
-	}
-	s := rec.NewSynopsis()
-	sc.synPool = append(sc.synPool, s)
-	sc.synNext++
-	return s
-}
-
-// resetEpoch prepares the pools for a new epoch.
+// resetEpoch prepares the scratch for a new epoch.
 func (sc *epochScratch[P, S]) resetEpoch() {
 	sc.dec.Reset()
 	sc.skPool.reset()
-	sc.synNext = 0
 }
 
 // contribSketchPool hands out ContribK-bitmap sketches, recycling them each
@@ -1196,11 +1181,7 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, own P, slot int) {
 			s = r.memo.CopySynopsisInto(r.keptSyn(&f.syn, &f.synSet), nm.ownSyn)
 		}
 	} else {
-		if r.rec != nil {
-			s = r.rec.ConvertInto(epoch, v, own, r.keptSyn(&f.syn, &f.synSet))
-		} else {
-			s = agg.Convert(epoch, v, own)
-		}
+		s = r.convert(epoch, v, own, f)
 		if batch {
 			// s carries real content here: listing the accumulator among
 			// the sources makes FuseAll fold it rather than overwrite it.
@@ -1249,10 +1230,10 @@ func (r *Runner[V, P, S, R]) buildEnvelope(epoch, v int, own P, slot int) {
 					s = agg.Fuse(s, be.syn)
 				}
 			} else {
-				if batch {
-					sc.fuseSrcs = append(sc.fuseSrcs, r.convert(epoch, e.from, e.p))
+				if conv := r.convert(epoch, e.from, e.p, &r.frames[idx]); batch {
+					sc.fuseSrcs = append(sc.fuseSrcs, conv)
 				} else {
-					s = agg.Fuse(s, r.convert(epoch, e.from, e.p))
+					s = agg.Fuse(s, conv)
 				}
 				cs.AddCount(r.contribSeed(epoch), uint64(e.from), e.contribTree)
 			}
@@ -1314,12 +1295,13 @@ func (r *Runner[V, P, S, R]) keptSyn(dst *S, set *bool) S {
 	return *dst
 }
 
-// convert applies the tree→multi-path conversion, through the recycling
-// fast path when the aggregate offers one. The returned synopsis lives
-// until the pools reset at the next epoch.
-func (r *Runner[V, P, S, R]) convert(epoch, owner int, p P) S {
+// convert applies the tree→multi-path conversion of owner's partial,
+// through the recycling fast path into owner's frame slot f when the
+// aggregate offers one. The result lives until the slot's next build or
+// conversion.
+func (r *Runner[V, P, S, R]) convert(epoch, owner int, p P, f *frameSlot[P, S]) S {
 	if r.rec != nil {
-		return r.rec.ConvertInto(epoch, owner, p, r.scratch.getSyn(r.rec))
+		return r.rec.ConvertInto(epoch, owner, p, r.keptSyn(&f.syn, &f.synSet))
 	}
 	return r.cfg.Agg.Convert(epoch, owner, p)
 }

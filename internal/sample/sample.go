@@ -200,7 +200,7 @@ func (s *Sample) Clone() *Sample {
 }
 
 // Reset empties the sample without releasing its storage — the recycling
-// primitive behind the epoch engine's synopsis pools.
+// primitive behind the epoch engine's reused synopses and partials.
 func (s *Sample) Reset() {
 	s.items = s.items[:0]
 	s.epoch = 0
