@@ -105,7 +105,8 @@ func (a *UniformSample) Fuse(acc, in *sample.Sample) *sample.Sample {
 	return acc
 }
 
-// FuseAll implements SynopsisBatchFuser: one k-way bottom-k merge.
+// FuseAll implements SynopsisBatchFuser: the bottom-k fold of
+// sample.MergeAll.
 func (a *UniformSample) FuseAll(acc *sample.Sample, in []*sample.Sample) *sample.Sample {
 	acc.MergeAll(in)
 	return acc

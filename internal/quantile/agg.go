@@ -231,8 +231,8 @@ func (a *Agg) Fuse(acc, in *Synopsis) *Synopsis {
 	return acc
 }
 
-// FuseAll implements aggregate.SynopsisBatchFuser: one k-way bottom-k merge
-// of the samples and one fused union of the population sketches.
+// FuseAll implements aggregate.SynopsisBatchFuser: the samples fold in input
+// order (sample.MergeAll) and the population sketches in one fused union.
 func (a *Agg) FuseAll(acc *Synopsis, in []*Synopsis) *Synopsis {
 	acc.smps, acc.cnts = acc.smps[:0], acc.cnts[:0]
 	for _, s := range in {
