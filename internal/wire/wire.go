@@ -148,38 +148,29 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Uvarint reads an unsigned LEB128 varint. A one-byte varint — most of
-// what the codecs write — is read without entering the general loop.
+// Uvarint reads an unsigned LEB128 varint.
 func (r *Reader) Uvarint() uint64 {
-	if buf := r.buf[r.off:]; len(buf) > 0 && buf[0] < 0x80 && r.err == nil {
-		r.off++
-		return uint64(buf[0])
-	}
-	return r.uvarint()
-}
-
-// uvarint is Uvarint's general path.
-func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	buf := r.buf[r.off:]
 	var v uint64
-	for i := 0; ; i++ { // group MaxUvarintLen-1 ends the varint or fails it
-		if i == len(buf) {
-			r.off += i
+	for i := 0; ; i++ {
+		if i == MaxUvarintLen {
+			r.fail(ErrMalformed)
+			return 0
+		}
+		if r.off >= len(r.buf) {
 			r.fail(ErrTruncated)
 			return 0
 		}
-		b := buf[i]
+		b := r.buf[r.off]
+		r.off++
 		if i == MaxUvarintLen-1 && b > 1 {
-			r.off += i + 1
 			r.fail(ErrMalformed) // 64-bit overflow
 			return 0
 		}
 		v |= uint64(b&0x7f) << uint(7*i)
 		if b < 0x80 {
-			r.off += i + 1
 			return v
 		}
 	}
@@ -196,12 +187,8 @@ func (r *Reader) Varint() int64 {
 // group), so that whatever a decoder built on it accepts re-encodes to the
 // very bytes it came from.
 func (r *Reader) MinimalUvarint() uint64 {
-	if buf := r.buf[r.off:]; len(buf) > 0 && buf[0] < 0x80 && r.err == nil {
-		r.off++
-		return uint64(buf[0]) // one byte is always minimal
-	}
 	start := r.off
-	v := r.uvarint()
+	v := r.Uvarint()
 	if r.err == nil && r.off-start != UvarintLen(v) {
 		r.fail(ErrMalformed)
 	}
