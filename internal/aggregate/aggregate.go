@@ -100,11 +100,11 @@ type SynopsisRecycler[P, S any] interface {
 
 // PartialRecycler is an optional Aggregate extension, the tree-side twin of
 // SynopsisRecycler: aggregates whose partials own heap storage (a summary
-// and a sample for Quantiles, a sample for UniformSample) implement it, and
-// the epoch engine then rebuilds each sender's local and decoded partials in
-// place every epoch instead of allocating fresh ones. MergeTree and
-// FinalizeTree must then also work in the accumulator's own storage for the
-// loop to be allocation-free.
+// and a sample for Quantiles) implement it, and the epoch engine then
+// rebuilds each sender's local and decoded partials in place every epoch
+// instead of allocating fresh ones. MergeTree and FinalizeTree must then
+// also work in the accumulator's own storage for the loop to be
+// allocation-free.
 //
 // Semantics: NewPartial returns a fresh reusable partial; LocalInto,
 // DecodePartialInto and CopyPartialInto must leave dst bit-identical to what
@@ -152,10 +152,9 @@ type SynopsisMemoizer[P, S any] interface {
 // SynopsisBatchFuser is an optional Aggregate extension: aggregates whose
 // fusion can take a whole inbox in one pass implement it — plain sketch OR
 // for Count, Sum and Average (one fused multi-sketch pass,
-// sketch.UnionAllInto), a k-way bottom-k merge plus that union for
-// Quantiles and UniformSample — and the epoch engine then gathers a node's
-// incoming synopses and fuses them at once instead of one Fuse dispatch per
-// synopsis.
+// sketch.UnionAllInto), that union plus a fold of the bottom-k samples for
+// Quantiles — and the epoch engine then gathers a node's incoming synopses
+// and fuses them at once instead of one Fuse dispatch per synopsis.
 //
 // Semantics: FuseAll must leave acc bit-identical to what the sequential
 // fold acc = Fuse(acc, in[0]); acc = Fuse(acc, in[1]); … would, except that

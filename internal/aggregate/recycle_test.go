@@ -3,7 +3,6 @@ package aggregate
 import (
 	"testing"
 
-	"tributarydelta/internal/sample"
 	"tributarydelta/internal/sketch"
 )
 
@@ -13,66 +12,7 @@ var (
 	_ SynopsisRecycler[int64, *sketch.Sketch]   = (*Count)(nil)
 	_ SynopsisRecycler[float64, *sketch.Sketch] = (*Sum)(nil)
 	_ SynopsisRecycler[AvgPartial, AvgSynopsis] = (*Average)(nil)
-
-	_ PartialRecycler[float64, *sample.Sample] = (*UniformSample)(nil)
-	_ SynopsisBatchFuser[*sample.Sample]       = (*UniformSample)(nil)
 )
-
-// TestUniformSamplePartialRecycler pins the partial-recycler contract for
-// UniformSample: LocalInto, DecodePartialInto and CopyPartialInto into a
-// dirty recycled sample equal Local, DecodePartial and the source.
-func TestUniformSamplePartialRecycler(t *testing.T) {
-	a := NewUniformSample(3, 6)
-	dirty := func() *sample.Sample {
-		d := a.NewPartial()
-		for node := 40; node < 50; node++ {
-			d.Add(3, 9, node, 1)
-		}
-		return d
-	}
-	want := a.AppendPartial(nil, a.Local(4, 11, 2.5))
-	if got := a.AppendPartial(nil, a.LocalInto(4, 11, 2.5, dirty())); !equalWire(got, want) {
-		t.Fatalf("LocalInto = %x, Local = %x", got, want)
-	}
-	p := a.Local(4, 1, 1)
-	for node := 2; node < 12; node++ {
-		p = a.MergeTree(p, a.Local(4, node, float64(node)))
-	}
-	enc := a.AppendPartial(nil, p)
-	got, err := a.DecodePartialInto(enc, dirty())
-	if err != nil || !equalWire(a.AppendPartial(nil, got), enc) {
-		t.Fatalf("DecodePartialInto = %v, %v; want the bytes %x back", got, err, enc)
-	}
-	if _, err := a.DecodePartialInto(enc[:len(enc)-1], dirty()); err == nil {
-		t.Fatal("truncated partial accepted")
-	}
-	if got := a.CopyPartialInto(dirty(), p); !equalWire(a.AppendPartial(nil, got), enc) {
-		t.Fatal("CopyPartialInto not bit-identical to its source")
-	}
-}
-
-// TestUniformSampleFuseAllMatchesFuse pins the batch-fuser contract: FuseAll
-// into a dirty accumulator equals the sequential Fuse fold from in[0].
-func TestUniformSampleFuseAllMatchesFuse(t *testing.T) {
-	a := NewUniformSample(8, 5)
-	var in []*sample.Sample
-	for i := 0; i < 6; i++ {
-		s := a.NewSynopsis()
-		for node := i; node < i+9; node++ {
-			s.Add(8, 2, node, float64(node))
-		}
-		in = append(in, s)
-	}
-	want := in[0].Clone()
-	for _, s := range in[1:] {
-		want = a.Fuse(want, s)
-	}
-	acc := a.NewSynopsis()
-	acc.Add(8, 2, 99, 0) // dirty
-	if got := a.FuseAll(acc, in); !equalWire(a.AppendSynopsis(nil, got), a.AppendSynopsis(nil, want)) {
-		t.Fatal("FuseAll diverged from the sequential Fuse fold")
-	}
-}
 
 // TestConvertIntoMatchesConvert pins the recycler contract: ConvertInto
 // into a dirty recycled synopsis must be bit-identical to Convert.

@@ -27,28 +27,9 @@ func (a *UniformSample) Name() string { return "UniformSample" }
 
 // Local implements Aggregate.
 func (a *UniformSample) Local(epoch, node int, v float64) *sample.Sample {
-	return a.LocalInto(epoch, node, v, a.NewPartial())
-}
-
-// NewPartial implements PartialRecycler.
-func (a *UniformSample) NewPartial() *sample.Sample { return sample.New(a.SampleK) }
-
-// LocalInto implements PartialRecycler.
-func (a *UniformSample) LocalInto(epoch, node int, v float64, dst *sample.Sample) *sample.Sample {
-	dst.Reset()
-	dst.Add(a.Seed, epoch, node, v)
-	return dst
-}
-
-// DecodePartialInto implements PartialRecycler.
-func (a *UniformSample) DecodePartialInto(data []byte, dst *sample.Sample) (*sample.Sample, error) {
-	return a.DecodeSynopsisInto(data, dst)
-}
-
-// CopyPartialInto implements PartialRecycler.
-func (a *UniformSample) CopyPartialInto(dst, src *sample.Sample) *sample.Sample {
-	dst.CopyFrom(src)
-	return dst
+	s := sample.New(a.SampleK)
+	s.Add(a.Seed, epoch, node, v)
+	return s
 }
 
 // MergeTree implements Aggregate.
@@ -102,13 +83,6 @@ func (a *UniformSample) DecodeSynopsisInto(data []byte, dst *sample.Sample) (*sa
 // Fuse implements Aggregate.
 func (a *UniformSample) Fuse(acc, in *sample.Sample) *sample.Sample {
 	acc.Merge(in)
-	return acc
-}
-
-// FuseAll implements SynopsisBatchFuser: the bottom-k fold of
-// sample.MergeAll.
-func (a *UniformSample) FuseAll(acc *sample.Sample, in []*sample.Sample) *sample.Sample {
-	acc.MergeAll(in)
 	return acc
 }
 

@@ -46,9 +46,8 @@ type Synopsis struct {
 	Smp *sample.Sample
 	// Cnt estimates the number of readings represented in Smp's population.
 	Cnt *sketch.Sketch
-	// smps and cnts gather FuseAll's sources, kept with the accumulator so
-	// concurrent fusions into distinct synopses share nothing.
-	smps []*sample.Sample
+	// cnts gathers FuseAll's population sketches, kept with the accumulator
+	// so concurrent fusions into distinct synopses share nothing.
 	cnts []*sketch.Sketch
 }
 
@@ -232,14 +231,22 @@ func (a *Agg) Fuse(acc, in *Synopsis) *Synopsis {
 }
 
 // FuseAll implements aggregate.SynopsisBatchFuser: the samples fold in input
-// order (sample.MergeAll) and the population sketches in one fused union.
+// order, as Fuse would, and the population sketches in one fused union. acc
+// may appear among in only as in[0].
 func (a *Agg) FuseAll(acc *Synopsis, in []*Synopsis) *Synopsis {
-	acc.smps, acc.cnts = acc.smps[:0], acc.cnts[:0]
+	acc.cnts = acc.cnts[:0]
 	for _, s := range in {
-		acc.smps = append(acc.smps, s.Smp)
 		acc.cnts = append(acc.cnts, s.Cnt)
 	}
-	acc.Smp.MergeAll(acc.smps)
+	switch {
+	case len(in) == 0:
+		acc.Smp.Reset()
+	case in[0] != acc:
+		acc.Smp.CopyFrom(in[0].Smp)
+	}
+	for _, s := range in[min(1, len(in)):] {
+		acc.Smp.Merge(s.Smp)
+	}
 	sketch.UnionAllInto(acc.Cnt, acc.cnts...)
 	return acc
 }

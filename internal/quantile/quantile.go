@@ -22,7 +22,6 @@ package quantile
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -101,13 +100,6 @@ func Merge(a, b *Summary) *Summary {
 // MergeInto overwrites dst with Merge(a, b), bit for bit, writing the
 // entries into dst's storage: nothing allocates once dst's entry array has
 // reached len(a.Entries)+len(b.Entries). dst must be neither a nor b.
-//
-// The merged entries are both summaries' entries, rank-adjusted, in (V,
-// RMin) order. When both inputs are value-sorted that order comes from one
-// linear merge of the two adjusted runs; the merge gives up — and the
-// entries are sorted instead — whenever a run is out of order or two
-// distinct entries tie on (V, RMin), the only case where the sort's
-// placement of ties could differ from the merge's.
 func MergeInto(dst, a, b *Summary) *Summary {
 	if a.N == 0 {
 		dst.CopyFrom(b)
@@ -121,12 +113,9 @@ func MergeInto(dst, a, b *Summary) *Summary {
 	// Weighted error: (Eps_a·N_a + Eps_b·N_b)/(N_a+N_b) ≤ max(Eps_a, Eps_b).
 	dst.Eps = (a.Eps*float64(a.N) + b.Eps*float64(b.N)) / float64(a.N+b.N)
 	out := slices.Grow(dst.Entries[:0], len(a.Entries)+len(b.Entries))
-	out, ok := mergeRuns(out, a, b)
-	if !ok {
-		out = appendAdjusted(out[:0], a, b)
-		out = appendAdjusted(out, b, a)
-		slices.SortFunc(out, cmpEntry)
-	}
+	out = appendAdjusted(out, a, b)
+	out = appendAdjusted(out, b, a)
+	slices.SortFunc(out, cmpEntry)
 	dst.Entries = out
 	return dst
 }
@@ -137,24 +126,8 @@ func (s *Summary) CopyFrom(other *Summary) {
 	s.N, s.Eps = other.N, other.Eps
 }
 
-// adjust returns e, an entry of one summary, with its rank bounds widened
-// by other — the Merge rule — given idx, the first entry of other whose
-// value is not below e.V.
-func adjust(e Entry, other *Summary, idx int) Entry {
-	var rminAdd, rmaxAdd int64
-	if idx > 0 {
-		rminAdd = other.Entries[idx-1].RMin
-	}
-	if idx < len(other.Entries) {
-		rmaxAdd = other.Entries[idx].RMax - 1
-	} else {
-		rmaxAdd = other.N
-	}
-	return Entry{V: e.V, RMin: e.RMin + rminAdd, RMax: e.RMax + rmaxAdd}
-}
-
-// appendAdjusted appends every entry of self, adjusted against other, in
-// self's order.
+// appendAdjusted appends every entry of self to dst with its rank bounds
+// widened by other — the Merge rule — in self's order.
 func appendAdjusted(dst []Entry, self, other *Summary) []Entry {
 	for _, e := range self.Entries {
 		// floor: the largest entry of other with V < e.V (strictly), and
@@ -162,7 +135,16 @@ func appendAdjusted(dst []Entry, self, other *Summary) []Entry {
 		idx := sort.Search(len(other.Entries), func(i int) bool {
 			return other.Entries[i].V >= e.V
 		})
-		dst = append(dst, adjust(e, other, idx))
+		var rminAdd, rmaxAdd int64
+		if idx > 0 {
+			rminAdd = other.Entries[idx-1].RMin
+		}
+		if idx < len(other.Entries) {
+			rmaxAdd = other.Entries[idx].RMax - 1
+		} else {
+			rmaxAdd = other.N
+		}
+		dst = append(dst, Entry{V: e.V, RMin: e.RMin + rminAdd, RMax: e.RMax + rmaxAdd})
 	}
 	return dst
 }
@@ -176,80 +158,6 @@ func cmpEntry(x, y Entry) int {
 		return 1
 	}
 	return cmp.Compare(x.RMin, y.RMin)
-}
-
-// sameEntry reports bit-identity.
-func sameEntry(x, y Entry) bool {
-	return math.Float64bits(x.V) == math.Float64bits(y.V) && x.RMin == y.RMin && x.RMax == y.RMax
-}
-
-// valueSorted reports whether es ascends by value with no NaN — the inputs
-// on which a moving cursor finds the same floors as appendAdjusted's binary
-// search.
-func valueSorted(es []Entry) bool {
-	for i, e := range es {
-		if e.V != e.V || (i > 0 && es[i-1].V > e.V) {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeRuns appends the adjusted entries of a and b to dst in (V, RMin)
-// order by one linear merge. It reports false — dst then holds garbage —
-// unless that order is the unique sorted order: both inputs value-sorted,
-// each adjusted run ascending, and every (V, RMin) tie between bit-identical
-// entries.
-func mergeRuns(dst []Entry, a, b *Summary) ([]Entry, bool) {
-	ae, be := a.Entries, b.Entries
-	if !valueSorted(ae) || !valueSorted(be) {
-		return dst, false
-	}
-	var i, j, fa, fb int // next entry of a, b; floor cursors into a, b
-	next := func(self []Entry, at int, other *Summary, floor *int) Entry {
-		v := self[at].V
-		for *floor < len(other.Entries) && other.Entries[*floor].V < v {
-			*floor++
-		}
-		return adjust(self[at], other, *floor)
-	}
-	var x, y Entry
-	if len(ae) > 0 {
-		x = next(ae, 0, b, &fb)
-	}
-	if len(be) > 0 {
-		y = next(be, 0, a, &fa)
-	}
-	for i < len(ae) || j < len(be) {
-		takeA := j == len(be)
-		if i < len(ae) && j < len(be) {
-			c := cmpEntry(x, y)
-			if c == 0 && !sameEntry(x, y) {
-				return dst, false
-			}
-			takeA = c <= 0
-		}
-		if takeA {
-			dst = append(dst, x)
-			if i++; i < len(ae) {
-				nx := next(ae, i, b, &fb)
-				if c := cmpEntry(x, nx); c > 0 || (c == 0 && !sameEntry(x, nx)) {
-					return dst, false
-				}
-				x = nx
-			}
-		} else {
-			dst = append(dst, y)
-			if j++; j < len(be) {
-				ny := next(be, j, a, &fa)
-				if c := cmpEntry(y, ny); c > 0 || (c == 0 && !sameEntry(y, ny)) {
-					return dst, false
-				}
-				y = ny
-			}
-		}
-	}
-	return dst, true
 }
 
 // Prune reduces the summary to at most k+1 entries by keeping entries

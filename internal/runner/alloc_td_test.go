@@ -158,8 +158,8 @@ func TestRecyclerEngagedForAllAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.rec == nil || sr.prec == nil || sr.fuser == nil {
-		t.Fatal("UniformSample runner did not resolve the synopsis/partial recyclers and the batch fuser")
+	if sr.rec == nil {
+		t.Fatal("UniformSample runner did not resolve the SynopsisRecycler fast path")
 	}
 
 	fa := freq.NewAgg(f.tr, freq.MinTotalLoad{Epsilon: 0.01, D: topo.TreeDominationFactor(f.tr, 0.05)},

@@ -95,15 +95,9 @@ func synopsisDecoders(f fixture) []fuzzDecoder {
 // inputs (by earlier decodes, failed ones included) — and fails unless both
 // accept or both reject, and what they accept re-encodes identically.
 func recycledDecoders(f fixture) []func(*testing.T, []byte) {
-	seed := uint64(11)
-	smp := aggregate.NewUniformSample(seed, 16)
-	qa := quantile.NewAgg(f.tr, seed, 32, 16, nil)
-	smpDst := smp.Local(0, 1, 7.0)
+	qa := quantile.NewAgg(f.tr, 11, 32, 16, nil)
 	qaDst := qa.MergeTree(qa.Local(0, 1, 4.5), qa.Local(0, 2, -1))
 	return []func(*testing.T, []byte){
-		func(t *testing.T, data []byte) {
-			checkDecodeInto(t, "sample", data, smp.DecodePartial, smp.DecodePartialInto, smp.AppendPartial, smpDst)
-		},
 		func(t *testing.T, data []byte) {
 			checkDecodeInto(t, "quantile", data, qa.DecodePartial, qa.DecodePartialInto, qa.AppendPartial, qaDst)
 		},

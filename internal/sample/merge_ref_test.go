@@ -89,40 +89,9 @@ func TestMergeMatchesInsertReference(t *testing.T) {
 	}
 }
 
-// TestMergeAllMatchesSequentialReference holds MergeAll — with and without
-// its accumulator as in[0] — to copying in[0] and folding the rest with the
-// reference insert.
-func TestMergeAllMatchesSequentialReference(t *testing.T) {
-	src := xrand.NewSource(42)
-	for trial := 0; trial < 2000; trial++ {
-		k := 1 + src.Intn(24)
-		in := overlapping(src, 1+src.Intn(8), k)
-		want := in[0].Clone()
-		for _, o := range in[1:] {
-			refMerge(want, o)
-		}
-		acc := overlapping(src, 1, k)[0] // dirty accumulator
-		acc.MergeAll(in)
-		if !sameSample(acc, want) {
-			t.Fatalf("trial %d: MergeAll = %v, reference %v", trial, acc.Items(), want.Items())
-		}
-		first := in[0].Clone()
-		folded := append([]*Sample{first}, in[1:]...)
-		first.MergeAll(folded)
-		if !sameSample(first, want) {
-			t.Fatalf("trial %d: MergeAll with the accumulator as in[0] = %v, reference %v", trial, first.Items(), want.Items())
-		}
-	}
-	empty := New(4)
-	empty.MergeAll(nil)
-	if empty.Len() != 0 || empty.RankEpoch() != 0 {
-		t.Fatal("MergeAll of nothing left items behind")
-	}
-}
-
-// FuzzMergeMatchesInsertReference drives both merges from arbitrary bytes:
+// FuzzMergeMatchesInsertReference drives the merge from arbitrary bytes:
 // each byte pair picks a sample and a node (so ranks collide across
-// samples), and the linear and k-input merges must equal the reference.
+// samples), and the linear merge's fold must equal the reference.
 func FuzzMergeMatchesInsertReference(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 0, 2, 2, 1, 1, 3}, uint8(2))
 	f.Add([]byte{3, 9, 2, 9, 1, 9, 0, 9, 3, 4, 2, 5}, uint8(1))
@@ -143,11 +112,6 @@ func FuzzMergeMatchesInsertReference(f *testing.F) {
 		}
 		if !sameSample(pair, want) {
 			t.Fatalf("Merge fold = %v, reference %v", pair.Items(), want.Items())
-		}
-		all := New(k)
-		all.MergeAll(in)
-		if !sameSample(all, want) {
-			t.Fatalf("MergeAll = %v, reference %v", all.Items(), want.Items())
 		}
 	})
 }

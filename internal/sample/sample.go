@@ -168,29 +168,6 @@ func (s *Sample) Merge(other *Sample) {
 	s.items = a
 }
 
-// MergeAll overwrites s with the bottom-k union of in — bit-identical to
-// copying in[0] into s and folding in[1:] with Merge in order, which is how
-// it runs: at an inbox's fan-in (a handful of inputs, most far below k) one
-// linear merge per input beats a k-way merge's scan of every input's head
-// per emitted item. s's prior items fold in only when s itself is in[0];
-// s may appear nowhere else in in. Every input must have s's capacity, and
-// the non-empty ones one rank epoch; it panics otherwise.
-func (s *Sample) MergeAll(in []*Sample) {
-	if len(in) == 0 {
-		s.Reset()
-		return
-	}
-	if in[0] != s {
-		s.CopyFrom(in[0])
-	}
-	for _, o := range in[1:] {
-		if o == s {
-			panic("sample: MergeAll accumulator among its later inputs")
-		}
-		s.Merge(o)
-	}
-}
-
 // Clone returns a deep copy.
 func (s *Sample) Clone() *Sample {
 	c := New(s.k)
