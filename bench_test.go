@@ -51,7 +51,7 @@ func BenchmarkEpochCount(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			dep := td.NewSyntheticDeployment(1, 600)
 			dep.SetGlobalLoss(0.2)
-			s, err := td.NewCountSession(dep, scheme, 1)
+			s, err := td.Open(dep, td.Count(), td.WithScheme(scheme), td.WithSeed(1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func BenchmarkQuantileMergePrune(b *testing.B) {
 func BenchmarkAdaptationDecision(b *testing.B) {
 	dep := td.NewSyntheticDeployment(1, 600)
 	dep.SetGlobalLoss(0.3)
-	s, err := td.NewCountSession(dep, td.SchemeTD, 1)
+	s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD), td.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

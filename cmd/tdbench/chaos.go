@@ -78,11 +78,10 @@ func runChaos(tdnode string) error {
 
 	stats := network.NewStats(g.N())
 	u, err := transport.NewUDP(network.New(g, network.Global{P: chaosLoss}, chaosSeed), transport.UDPOptions{
-		Shards:        chaosShards,
-		Deterministic: true,
-		Stats:         stats,
-		Spawn:         drv.WrapSpawner(spawn),
-		AddrRewrite:   drv.AddrRewrite,
+		Shards:      chaosShards,
+		Stats:       stats,
+		Spawn:       drv.WrapSpawner(spawn),
+		AddrRewrite: drv.AddrRewrite,
 		// Tight deadlines keep degraded epochs short so the scripted window
 		// stays a few seconds even with a stalled control channel.
 		BarrierTimeout: 500 * time.Millisecond,

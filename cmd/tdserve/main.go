@@ -21,7 +21,7 @@
 // backend: "sim" (the default synchronous simulator) or "udp" — a
 // multi-process fleet where nodes partition over "udpShards" shard runtimes
 // (default 4) and every frame travels as a real loopback datagram; the UDP
-// fleet runs its deterministic mode, so answers are identical across
+// fleet's barrier delivers exactly once, so answers are identical across
 // backends. With -tdnode pointing at a built cmd/tdnode binary, UDP shards
 // are spawned as separate OS processes; without it they run as in-process
 // goroutines over the same sockets and protocol. The flags:
@@ -58,7 +58,7 @@ type createRequest struct {
 	// advance in lock-step sharing one loss realization per epoch.
 	Aggregates []string `json:"aggregates"`
 	// Transport selects the delivery backend: "sim" (default) or "udp".
-	// Both run deterministic modes, so answers are identical.
+	// Both draw loss from the same seeded model, so answers are identical.
 	Transport string `json:"transport"`
 	// UDPShards is the shard-runtime count of a "udp" deployment (default
 	// 4, clamped to the sensor count).

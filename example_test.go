@@ -85,11 +85,11 @@ func ExampleQuantiles() {
 	// true
 }
 
-// The deprecated constructor surface still works and answers identically —
-// it is a thin shim over Open.
-func ExampleNewCountSession() {
+// Count under pure tree aggregation over a lossless field is exact: every
+// sensor is counted once.
+func ExampleOpen_count() {
 	dep := td.NewSyntheticDeployment(1, 200)
-	session, err := td.NewCountSession(dep, td.SchemeTAG, 1)
+	session, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTAG), td.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
@@ -100,11 +100,11 @@ func ExampleNewCountSession() {
 
 // Min is exact even over multi-path routing — idempotent aggregates incur
 // no approximation error (§5 of the paper).
-func ExampleNewMinSession() {
+func ExampleOpen_min() {
 	dep := td.NewSyntheticDeployment(2, 150)
 	dep.SetGlobalLoss(0) // lossless: every reading is accounted for
-	session, err := td.NewMinSession(dep, td.SchemeSD, 2,
-		func(_, node int) float64 { return float64(100 + node) })
+	session, err := td.Open(dep, td.Min(func(_, node int) float64 { return float64(100 + node) }),
+		td.WithScheme(td.SchemeSD), td.WithSeed(2))
 	if err != nil {
 		panic(err)
 	}
@@ -122,7 +122,7 @@ func ExamplePool() {
 	for i := 1; i <= 3; i++ {
 		dep := td.NewSyntheticDeployment(uint64(i), 150)
 		dep.SetGlobalLoss(0.2)
-		s, err := td.NewCountSession(dep, td.SchemeTD, uint64(i))
+		s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD), td.WithSeed(uint64(i)))
 		if err != nil {
 			panic(err)
 		}
@@ -142,10 +142,10 @@ func ExamplePool() {
 }
 
 // A lossless tree average of a constant signal is exact.
-func ExampleNewAverageSession() {
+func ExampleOpen_average() {
 	dep := td.NewSyntheticDeployment(4, 150)
-	session, err := td.NewAverageSession(dep, td.SchemeTAG, 4,
-		func(_, node int) float64 { return 21.5 })
+	session, err := td.Open(dep, td.Average(func(_, node int) float64 { return 21.5 }),
+		td.WithScheme(td.SchemeTAG), td.WithSeed(4))
 	if err != nil {
 		panic(err)
 	}
@@ -155,25 +155,25 @@ func ExampleNewAverageSession() {
 
 // The bottom-k sample fills to its capacity whenever at least k readings
 // contribute, and supports order statistics such as the median.
-func ExampleNewSampleSession() {
+func ExampleOpen_sample() {
 	dep := td.NewSyntheticDeployment(6, 150)
-	session, err := td.NewSampleSession(dep, td.SchemeTAG, 6, 25,
-		func(_, node int) float64 { return float64(node) })
+	session, err := td.Open(dep, td.Sample(25, func(_, node int) float64 { return float64(node) }),
+		td.WithScheme(td.SchemeTAG), td.WithSeed(6))
 	if err != nil {
 		panic(err)
 	}
 	res := session.RunEpoch(0)
-	fmt.Println(res.Sample.Len() == 25)
+	fmt.Println(res.Answer.Len() == 25)
 	// Output: true
 }
 
 // Tributary-Delta adapts: under loss the delta region grows until the
 // contributing fraction clears the 90% threshold.
-func ExampleNewSumSession() {
+func ExampleOpen_sum() {
 	dep := td.NewSyntheticDeployment(3, 300)
 	dep.SetGlobalLoss(0.3)
-	session, err := td.NewSumSession(dep, td.SchemeTD, 3,
-		func(_, node int) float64 { return 1 })
+	session, err := td.Open(dep, td.Sum(func(_, node int) float64 { return 1 }),
+		td.WithScheme(td.SchemeTD), td.WithSeed(3))
 	if err != nil {
 		panic(err)
 	}

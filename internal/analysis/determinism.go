@@ -19,10 +19,10 @@ var determinismScope = []string{
 	"internal/freq",
 	"internal/quantile",
 	"internal/network",
-	// The transport backends carry real deadlines and retransmit pacing in
-	// free-running mode; their legitimate wall-clock uses are individually
-	// //lint:ignore'd so any NEW one that could leak into deterministic
-	// mode must justify itself.
+	// The UDP transport carries real deadlines on its control plane and
+	// barrier; those wall-clock uses bound waiting, never answer bits, and
+	// are individually //lint:ignore'd so any NEW one that could leak into
+	// the epoch path must justify itself.
 	"internal/transport",
 	// The chaos driver's noise model must draw from per-shard seeded
 	// generators and its fault schedule from data; only its proxy plumbing

@@ -94,7 +94,9 @@ type Schedule struct {
 	Drop, Dup, Reorder float64
 	// ReorderDelay is how long a reordered datagram is held if no
 	// successor displaces it first; 0 means 2ms. Keep it far inside the
-	// barrier's quiet window so held datagrams are never stranded.
+	// shard's 25ms flush wait, so a held datagram lands before the barrier
+	// reports it missing instead of arriving as a late duplicate of its
+	// retransmission.
 	ReorderDelay time.Duration
 	// Faults are the scheduled faults, in any order; the driver sorts them
 	// by epoch.

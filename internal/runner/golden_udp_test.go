@@ -11,7 +11,7 @@ import (
 // closed — and checked for a sticky transport error — at test cleanup.
 func newDetUDP(t *testing.T, nw *network.Net) *transport.UDP {
 	t.Helper()
-	u, err := transport.NewUDP(nw, transport.UDPOptions{Deterministic: true, Shards: 4})
+	u, err := transport.NewUDP(nw, transport.UDPOptions{Shards: 4})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
 	}
@@ -25,9 +25,9 @@ func newDetUDP(t *testing.T, nw *network.Net) *transport.UDP {
 }
 
 // TestGoldenAnswersUDPTransport re-runs the golden workloads (4 schemes ×
-// seeds 1–3) with the multi-process UDP transport in deterministic mode —
-// real loopback datagrams, an in-process shard fleet, the barrier protocol
-// — and compares against the very same golden file. The Deliver verdict
+// seeds 1–3) with the multi-process UDP transport — real loopback
+// datagrams, an in-process shard fleet, the barrier protocol — and compares
+// against the very same golden file. The Deliver verdict
 // comes from the same seeded loss hash as the simulator, and the
 // exactly-once barrier guarantees the data plane keeps up, so not a single
 // answer may move. The subtest is named for the batched data plane, the

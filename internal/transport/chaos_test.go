@@ -20,13 +20,15 @@ import (
 )
 
 // TestUDPChaosAccounting routes every shard's data plane through the chaos
-// driver's noise proxies and runs a free-running session through them. The
-// session must converge — free-running Deliver is optimistic, so the
-// runner's answers equal the lossless simulator's — and the barrier's
-// loss/duplicate discovery must agree with the driver's frame-denominated
-// ground truth exactly: every dropped frame (a dropped batch datagram
-// loses all of its frames at once) becomes one AddLoss, every duplicated
-// frame one AddDuplicates, reordering costs nothing.
+// driver's noise proxies (10 % drop, duplicate and reorder per datagram)
+// under a TD session over a lossy model. The barrier must hide the medium
+// completely: answers equal the simulator's at every epoch, per-node
+// receive accounting equals the frames and bytes the simulator delivered,
+// the backend counts no loss and the fleet stays healthy — every dropped
+// datagram is retransmitted, every duplicate deduplicated and every
+// reordered one waited for. Duplicates are not pinned: a copy that lands
+// after its shard's terminal barrier reply is reset unreported, so
+// Stats.Duplicates is only a lower bound on the driver's count.
 func TestUDPChaosAccounting(t *testing.T) {
 	t.Run("batched", testUDPChaosAccounting)
 }
@@ -34,9 +36,11 @@ func TestUDPChaosAccounting(t *testing.T) {
 func testUDPChaosAccounting(t *testing.T) {
 	seed := uint64(7)
 	f := newFixture(seed, 80)
-	simNet := network.New(f.g, network.Global{P: 0}, seed)
-	udpNet := network.New(f.g, network.Global{P: 0}, seed)
+	model := network.Global{P: 0.2}
+	simNet := network.New(f.g, model, seed)
+	udpNet := network.New(f.g, model, seed)
 	stats := network.NewStats(f.g.N())
+	oracle := newCountingSim(simNet)
 	drv, err := chaos.New(chaos.Schedule{
 		Seed: 1000, Drop: 0.10, Dup: 0.10, Reorder: 0.10,
 	}, 4)
@@ -47,7 +51,6 @@ func testUDPChaosAccounting(t *testing.T) {
 	u, err := transport.NewUDP(udpNet, transport.UDPOptions{
 		Shards:      4,
 		Stats:       stats,
-		DrainQuiet:  25 * time.Millisecond,
 		AddrRewrite: drv.AddrRewrite,
 	})
 	if err != nil {
@@ -55,17 +58,23 @@ func testUDPChaosAccounting(t *testing.T) {
 	}
 	defer u.Close()
 
-	simR := countRunner(t, f, runner.ModeTree, simNet, seed, nil)
-	udpR := countRunner(t, f, runner.ModeTree, udpNet, seed, u)
+	simR := countRunner(t, f, runner.ModeTD, simNet, seed, oracle)
+	udpR := countRunner(t, f, runner.ModeTD, udpNet, seed, u)
 	for e := 0; e < 12; e++ {
 		drv.Advance(e)
 		sim, up := simR.RunEpoch(e), udpR.RunEpoch(e)
 		if sim != up {
-			t.Fatalf("epoch %d: lossless simulator %+v, chaos session %+v", e, sim, up)
+			t.Fatalf("epoch %d: simulator %+v, chaos session %+v", e, sim, up)
 		}
 	}
 	if err := u.Err(); err != nil {
 		t.Fatalf("transport error under chaos: %v", err)
+	}
+	if h := u.Health(); !h.Healthy() {
+		t.Fatalf("fleet unhealthy under link noise: %+v", h)
+	}
+	if got := u.Lost(); got != 0 {
+		t.Fatalf("barrier let %d frames go lost under link noise", got)
 	}
 
 	c := drv.Counters()
@@ -75,17 +84,15 @@ func testUDPChaosAccounting(t *testing.T) {
 	if c.Blackholed != 0 {
 		t.Fatalf("no blackhole scheduled, yet %d frames swallowed", c.Blackholed)
 	}
-	if got := u.Lost(); got != c.Dropped {
-		t.Fatalf("transport counted %d losses, driver dropped %d", got, c.Dropped)
+	t.Logf("driver %+v; shards reported %d duplicates", c, stats.TotalDuplicates())
+	if stats.TotalRxFrames() == 0 {
+		t.Fatal("no receive deltas reached stats")
 	}
-	if got := stats.TotalLosses(); got != c.Dropped {
-		t.Fatalf("stats recorded %d losses, driver dropped %d", got, c.Dropped)
-	}
-	if got := u.Duplicates(); got != c.Dupped {
-		t.Fatalf("transport counted %d duplicates, driver duplicated %d", got, c.Dupped)
-	}
-	if got := stats.TotalDuplicates(); got != c.Dupped {
-		t.Fatalf("stats recorded %d duplicates, driver duplicated %d", got, c.Dupped)
+	for v := range stats.RxFrames {
+		if stats.RxFrames[v] != oracle.rxFrames[v] || stats.RxBytes[v] != oracle.rxBytes[v] {
+			t.Fatalf("node %d: udp rx %d frames/%d bytes, simulator delivered %d frames/%d bytes",
+				v, stats.RxFrames[v], stats.RxBytes[v], oracle.rxFrames[v], oracle.rxBytes[v])
+		}
 	}
 }
 
@@ -113,7 +120,6 @@ func TestUDPFleetRecoversFromKill(t *testing.T) {
 	spawn := transport.SpawnExec(exe)
 	u, err := transport.NewUDP(udpNet, transport.UDPOptions{
 		Shards:         16,
-		Deterministic:  true,
 		Stats:          stats,
 		BarrierTimeout: 2 * time.Second,
 		// The supervisor respawns through this same wrapper (on its own
@@ -245,7 +251,6 @@ func TestUDPChaosScheduleRecovery(t *testing.T) {
 	defer drv.Close()
 	u, err := transport.NewUDP(udpNet, transport.UDPOptions{
 		Shards:         shards,
-		Deterministic:  true,
 		BarrierTimeout: 500 * time.Millisecond,
 		JoinTimeout:    500 * time.Millisecond,
 		Spawn:          drv.WrapSpawner(transport.SpawnExec(exe)),

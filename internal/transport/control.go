@@ -33,7 +33,7 @@ import (
 // Control message types.
 const (
 	ctrlJoin   = "join"   // shard → parent: here I am, my UDP address, my max datagram
-	ctrlAssign = "assign" // parent → shard: topology, mode, negotiated datagram size
+	ctrlAssign = "assign" // parent → shard: topology, negotiated datagram size
 	ctrlFlush  = "flush"  // parent → shard: barrier — round r had `sent` frames for you
 	ctrlDone   = "done"   // shard → parent: barrier reply — receipts, missing ranges, rx deltas
 	ctrlStop   = "stop"   // parent → shard: shut down
@@ -88,10 +88,8 @@ type ctrlMsg struct {
 
 	// assign fields (parent → shard); MaxDatagram carries the negotiated
 	// size (the min of both sides' limits).
-	Nodes         int  `json:"nodes,omitempty"`
-	Shards        int  `json:"shards,omitempty"`
-	Deterministic bool `json:"deterministic,omitempty"`
-	QuietUS       int  `json:"quietUs,omitempty"`
+	Nodes  int `json:"nodes,omitempty"`
+	Shards int `json:"shards,omitempty"`
 
 	// flush fields (parent → shard): the barrier round and how many frames
 	// (sequence numbers) were sent to this shard in it. done echoes Round.

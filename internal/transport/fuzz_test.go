@@ -9,7 +9,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"tributarydelta/internal/wire"
 )
@@ -101,7 +100,7 @@ func TestShardReceiveRejectsNonBatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := newShardState(16, 4, 1, true, time.Millisecond)
+			s := newShardState(16, 4, 1)
 			var dec wire.Decoder
 			s.handleBatch(&dec, c.data)
 			if s.malformed != 1 || s.unique != 0 || s.received != 0 {
@@ -153,7 +152,7 @@ func FuzzShardReceiveBatch(f *testing.F) {
 	f.Add([]byte{retiredSingleFrameMagic, wire.DatagramVersion})
 	f.Add([]byte{retiredSingleFrameMagic, wire.DatagramVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newShardState(16, 4, 1, true, time.Millisecond)
+		s := newShardState(16, 4, 1)
 		var dec wire.Decoder
 		// Feed the input twice: the second pass exercises the dedup and
 		// stale-round branches against whatever state the first pass built.
@@ -195,7 +194,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	good := wire.AppendEnvelope(nil, &wire.Envelope{Kind: wire.KindTree, From: 6, Contrib: 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		s := newShardState(16, 4, 1, false, time.Millisecond)
+		s := newShardState(16, 4, 1)
 		var dec wire.Decoder
 		s.handleBatch(&dec, wire.AppendBatchFrame(wire.AppendDatagramBatch(nil, 1, 0), 5, payload))
 		dec.Reset()

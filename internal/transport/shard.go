@@ -26,14 +26,13 @@ import (
 	"tributarydelta/internal/wire"
 )
 
-// Shard runtime timing: how long a deterministic-mode flush waits for
-// in-flight datagrams before reporting them missing (the parent then
-// retransmits and re-flushes), and the I/O deadline on control replies.
+// Shard runtime timing: how long a flush waits for in-flight datagrams
+// before reporting them missing (the parent then retransmits and
+// re-flushes), and the I/O deadline on control replies.
 const (
-	detFlushWait   = 25 * time.Millisecond
-	ctrlIOTimeout  = 10 * time.Second
-	dialNodeWait   = 10 * time.Second
-	defaultQuietUS = 5000
+	detFlushWait  = 25 * time.Millisecond
+	ctrlIOTimeout = 10 * time.Second
+	dialNodeWait  = 10 * time.Second
 )
 
 // RunNode hosts one UDP shard: it dials the parent's control address,
@@ -55,8 +54,6 @@ func RunNode(controlAddr string, shard int) error {
 // can wait for stragglers without polling.
 type shardState struct {
 	shard, shards, nodes int
-	det                  bool
-	quiet                time.Duration
 	udp                  *net.UDPConn
 	// io accumulates the socket-level receive counters, reported to the
 	// parent in every done reply.
@@ -70,10 +67,6 @@ type shardState struct {
 	seen     []uint64
 	unique   int
 	received int64
-	// lastArrival is the free-running quiet-period clock, stamped once per
-	// datagram that carried an accepted frame; deterministic mode
-	// synchronizes on sequence receipt and never stamps or reads it.
-	lastArrival time.Time
 	// rxFrames/rxBytes/dups are per-local-node deltas for the round,
 	// indexed by v/shards.
 	rxFrames, rxBytes, dups []int64
@@ -118,11 +111,7 @@ func serveShard(conn net.Conn, shard int) error {
 	if assign.Type != ctrlAssign || assign.Nodes <= 0 || assign.Shards <= 0 || shard >= assign.Shards {
 		return fmt.Errorf("transport: shard %d got invalid assignment %+v", shard, assign)
 	}
-	quiet := time.Duration(assign.QuietUS) * time.Microsecond
-	if quiet <= 0 {
-		quiet = defaultQuietUS * time.Microsecond
-	}
-	s := newShardState(assign.Nodes, assign.Shards, shard, assign.Deterministic, quiet)
+	s := newShardState(assign.Nodes, assign.Shards, shard)
 	s.udp = udp
 
 	recvDone := make(chan struct{})
@@ -162,12 +151,10 @@ func serveShard(conn net.Conn, shard int) error {
 }
 
 // newShardState builds the receive-side state for one shard assignment.
-func newShardState(nodes, shards, shard int, det bool, quiet time.Duration) *shardState {
+func newShardState(nodes, shards, shard int) *shardState {
 	locals := localCount(nodes, shards, shard)
 	return &shardState{
 		shard: shard, shards: shards, nodes: nodes,
-		det:      det,
-		quiet:    quiet,
 		arrival:  make(chan struct{}, 1),
 		rxFrames: make([]int64, locals),
 		rxBytes:  make([]int64, locals),
@@ -225,9 +212,6 @@ func (s *shardState) handleBatch(dec *wire.Decoder, data []byte) {
 	}
 	if b.Err() != nil {
 		s.malformed++
-	}
-	if accepted > 0 {
-		s.stampArrivalLocked()
 	}
 	s.mu.Unlock()
 	if accepted > 0 {
@@ -287,16 +271,6 @@ func (s *shardState) acceptLocked(seq, to, frameLen int) {
 	}
 }
 
-// stampArrivalLocked advances the quiet-period clock — once per datagram,
-// not per frame: the drain measures silence on the socket, and a batch's
-// frames all arrived together. Callers hold mu.
-func (s *shardState) stampArrivalLocked() {
-	if !s.det {
-		//lint:ignore determinism free-running arrival clock for the quiet-period drain; deterministic mode synchronizes on seq receipt, not time
-		s.lastArrival = time.Now()
-	}
-}
-
 // wake nudges a waiting flush without blocking the receive loop.
 func (s *shardState) wake() {
 	select {
@@ -321,7 +295,6 @@ func (s *shardState) resetRoundLocked(round uint64) {
 	}
 	s.unique = 0
 	s.received = 0
-	s.lastArrival = time.Time{}
 	for i := range s.rxFrames {
 		s.rxFrames[i] = 0
 		s.rxBytes[i] = 0
@@ -329,14 +302,12 @@ func (s *shardState) resetRoundLocked(round uint64) {
 	}
 }
 
-// flush answers one barrier flush: wait for the round's traffic to settle,
-// then report what arrived. In deterministic mode the wait is short and the
-// reply lists missing sequence ranges for the parent to retransmit — the
-// barrier converges to exactly-once. In free-running mode the wait is a
-// quiet period since the last arrival (so trailing duplicates and
-// reordered stragglers are counted), and whatever is missing then is
-// reported as genuinely lost. The returned message is the shard's reusable
-// reply scratch, valid until the next flush.
+// flush answers one barrier flush: wait briefly for the round's traffic to
+// arrive, then report what did. A reply that lists missing sequence ranges
+// makes the parent retransmit and re-flush, so the barrier converges to
+// exactly-once; only the terminal reply, with nothing missing, carries the
+// round's per-node receive deltas. The returned message is the shard's
+// reusable reply scratch, valid until the next flush.
 func (s *shardState) flush(m *ctrlMsg) *ctrlMsg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -350,34 +321,11 @@ func (s *shardState) flush(m *ctrlMsg) *ctrlMsg {
 	if m.Sent > wire.MaxDatagramSeq {
 		m.Sent = wire.MaxDatagramSeq
 	}
-	if s.det {
-		//lint:ignore determinism barrier liveness deadline; deterministic mode waits for exactly-once receipt, timing only bounds the wait
-		deadline := time.Now().Add(detFlushWait)
-		for s.unique < m.Sent {
-			if !s.waitArrivalLocked(deadline) {
-				break
-			}
-		}
-	} else {
-		// Quiet-period drain: wait until no datagram has arrived for the
-		// quiet window, anchored at the flush itself when the round saw no
-		// traffic at all — so total loss still terminates after one window.
-		anchor := s.lastArrival
-		if anchor.IsZero() {
-			//lint:ignore determinism free-running quiet-period anchor; this branch only paces the lossy drain
-			anchor = time.Now()
-		}
-		for {
-			if !s.lastArrival.IsZero() {
-				anchor = s.lastArrival
-			}
-			//lint:ignore determinism free-running quiet-period drain; real arrival timing is the point of this mode
-			idle := time.Since(anchor)
-			if idle >= s.quiet {
-				break
-			}
-			//lint:ignore determinism free-running quiet-period drain; real arrival timing is the point of this mode
-			s.waitArrivalLocked(time.Now().Add(s.quiet - idle))
+	//lint:ignore determinism barrier liveness deadline; the barrier waits for exactly-once receipt, timing only bounds the wait
+	deadline := time.Now().Add(detFlushWait)
+	for s.unique < m.Sent {
+		if !s.waitArrivalLocked(deadline) {
+			break
 		}
 	}
 	io := s.io.Snapshot()
@@ -407,10 +355,10 @@ func (s *shardState) flush(m *ctrlMsg) *ctrlMsg {
 			reply.Missing = append(reply.Missing, seqRange{First: m.Sent - run, Count: run})
 		}
 	}
-	if !s.det || len(reply.Missing) == 0 {
+	if len(reply.Missing) == 0 {
 		// Terminal reply: attach the round's per-node receive deltas. (A
-		// deterministic reply with missing ranges triggers a resend and a
-		// re-flush; the parent applies deltas only from the terminal one.)
+		// reply with missing ranges triggers a resend and a re-flush; the
+		// parent applies deltas only from the terminal one.)
 		for li := range s.rxFrames {
 			if s.rxFrames[li] == 0 && s.dups[li] == 0 {
 				continue

@@ -26,22 +26,12 @@ package transport
 // a contiguous missing *range*, and retransmission resends whole datagram
 // images.
 //
-// Two modes:
-//
-//   - Deterministic: the Deliver verdict comes from the seeded loss model
-//     (the same hash as the simulator, so answers are pinned bit-identical
-//     to the golden file), and every surviving frame is
-//     delivered to its shard exactly once — the barrier retransmits any
-//     datagram the loopback medium itself dropped, and the shard's
-//     per-round dedup absorbs the replays, keeping the receive-side
-//     accounting exact.
-//   - Free-running: Deliver queues the frame and optimistically reports
-//     true; the loss model is not consulted. What actually got lost is
-//     discovered at the epoch barrier — each shard drains a quiet period,
-//     reports the missing sequence ranges, and the parent attributes one
-//     loss to each missing frame's sender (and one duplicate to each
-//     replayed one), feeding the same network.Stats that the simulator
-//     feeds.
+// One barrier, exactly once: the Deliver verdict comes from the seeded loss
+// model (the same hash as the simulator, so answers are pinned
+// bit-identical to the golden file), and every surviving frame is delivered
+// to its shard exactly once — the barrier retransmits any datagram the
+// loopback medium itself dropped, and the shard's per-round dedup absorbs
+// the replays, keeping the receive-side accounting exact.
 //
 // The fleet is self-healing: a shard that fails its barrier is declared
 // dead — that round's frames are attributed as losses — and handed to a
@@ -92,16 +82,17 @@ type UDPOptions struct {
 	// Shards is the number of shard processes nodes are partitioned over
 	// (<= 0 means 1; clamped to the node count).
 	Shards int
-	// Deterministic selects the exactly-once barrier with the seeded loss
-	// model deciding Deliver verdicts, making answers bit-identical to the
-	// in-process simulator. Free-running mode (false) sends optimistically
-	// and discovers real losses/duplicates at the barrier.
+	// Deterministic is ignored: the exactly-once barrier with the seeded
+	// loss model deciding Deliver verdicts is the only mode.
+	//
+	// Deprecated: the field has no effect. It goes with the benchmark
+	// harness's last use of it (bench/trace.go), in the benchmark-defining
+	// change of ROADMAP item 1(0).
 	Deterministic bool
 	// Stats, if non-nil, receives the backend-side accounting: per-node
-	// receive deltas (AddRx), duplicates (AddDuplicates) and — in
-	// free-running mode — real frame losses (AddLoss, applied at the
-	// barrier on the dispatch goroutine). Swappable via SetStats at the
-	// epoch barrier.
+	// receive deltas (AddRx), duplicates (AddDuplicates) and the rounds of
+	// shards that died mid-barrier (AddLoss), all applied at the barrier on
+	// the dispatch goroutine. Swappable via SetStats at the epoch barrier.
 	Stats *network.Stats
 	// Spawn launches each shard runtime; nil selects the in-process
 	// default. The supervisor reuses it to respawn failed shards, so it
@@ -114,10 +105,6 @@ type UDPOptions struct {
 	// frame that cannot fit even alone fails its delivery and sets the
 	// transport's sticky error.
 	MaxDatagram int
-	// DrainQuiet is the free-running barrier's quiet window: a shard
-	// reports its round once no datagram has arrived for this long. <= 0
-	// means 5ms. Chaos tests raise it to out-wait their proxy's reordering.
-	DrainQuiet time.Duration
 	// BarrierTimeout caps one epoch barrier's control-channel round trips
 	// per shard; a shard that cannot be flushed within it is declared dead
 	// (its round's frames attributed as losses) and handed to the
@@ -271,11 +258,10 @@ type udpShard struct {
 	batch     []byte
 	batchBase int
 	batchN    int
-	// dgrams keeps the round's sealed datagram images — the send queue, and
-	// in deterministic mode the retransmission store; buffers are recycled
-	// across rounds. dgramBase records each datagram's first sequence
-	// number (ascending), so a missing range maps back to whole datagrams
-	// by binary search.
+	// dgrams keeps the round's sealed datagram images — the send queue and
+	// the retransmission store; buffers are recycled across rounds.
+	// dgramBase records each datagram's first sequence number (ascending),
+	// so a missing range maps back to whole datagrams by binary search.
 	dgrams    [][]byte
 	dgramBase []int
 	// from records each seq's sender for loss attribution.
@@ -354,9 +340,6 @@ func NewUDP(nw *network.Net, opts UDPOptions) (*UDP, error) {
 	}
 	if opts.MaxDatagram <= 0 || opts.MaxDatagram > wire.MaxUDPPayload {
 		opts.MaxDatagram = wire.MaxUDPPayload
-	}
-	if opts.DrainQuiet <= 0 {
-		opts.DrainQuiet = defaultQuietUS * time.Microsecond
 	}
 	if opts.BarrierTimeout <= 0 {
 		opts.BarrierTimeout = defaultBarrierTimeout
@@ -490,9 +473,7 @@ func (u *UDP) completeJoin(c net.Conn, join *ctrlMsg) (*rejoin, error) {
 	}
 	assign := ctrlMsg{
 		Type: ctrlAssign, Nodes: u.nw.Graph.N(), Shards: len(u.shards),
-		Deterministic: u.opts.Deterministic,
-		MaxDatagram:   maxDgram,
-		QuietUS:       int(u.opts.DrainQuiet / time.Microsecond),
+		MaxDatagram: maxDgram,
 	}
 	//lint:ignore determinism control-plane I/O deadline; join timing never reaches the epoch path
 	if err := writeCtrl(c, time.Now().Add(u.opts.JoinTimeout), &assign); err != nil {
@@ -564,18 +545,14 @@ func (u *UDP) sealBatch(sh *udpShard) {
 	sh.batchN = 0
 }
 
-// Deliver implements runner.Transport. In deterministic mode the verdict
-// comes from the seeded loss model (surviving frames are queued, and the
-// barrier guarantees exactly-once arrival); in free-running mode every
-// frame is queued and optimistically reported delivered — the barrier
-// settles what was really lost. Frames accumulate into batch datagrams
-// and hit the socket at EndEpoch; a false return on a
-// dead shard or oversized frame lets the runner account the loss as usual.
+// Deliver implements runner.Transport. The verdict comes from the seeded
+// loss model; surviving frames are queued, and the barrier guarantees
+// their exactly-once arrival. Frames accumulate into batch datagrams and
+// hit the socket at EndEpoch; a false return on a dead shard or oversized
+// frame lets the runner account the loss as usual.
 func (u *UDP) Deliver(epoch, attempt, from, to int, frame []byte) bool {
-	if u.opts.Deterministic {
-		if !u.links.Delivered(u.nw, epoch, attempt, from, to) {
-			return false
-		}
+	if !u.links.Delivered(u.nw, epoch, attempt, from, to) {
+		return false
 	}
 	sh := u.shards[to%len(u.shards)]
 	if sh.dead {
@@ -634,13 +611,14 @@ func (u *UDP) BeginEpoch(int) {
 // EndEpoch implements runner.EpochMarker: seal the open batches, submit the
 // whole round's datagrams in one batched send, then flush every shard that
 // received traffic this round (concurrently — each shard has its own
-// control connection) and apply the collected receive deltas, duplicates
-// and free-running losses to the current Stats target on the calling
-// (dispatch) goroutine, preserving the transmit-side single-writer
-// contract. A shard that cannot be flushed within BarrierTimeout is
-// declared dead: its round's frames are attributed as losses and the
-// supervisor takes over respawning it — no hang, and no sticky error
-// unless recovery itself is exhausted.
+// control connection) and apply the collected receive deltas and
+// duplicates to the current Stats target on the calling (dispatch)
+// goroutine, preserving the transmit-side single-writer contract. A
+// terminal barrier reply never lists missing frames: the flush retransmits
+// until nothing is missing or gives the shard up. A shard that cannot be
+// flushed within BarrierTimeout is declared dead: its round's frames are
+// attributed as losses and the supervisor takes over respawning it — no
+// hang, and no sticky error unless recovery itself is exhausted.
 func (u *UDP) EndEpoch(int) {
 	for _, sh := range u.shards {
 		u.sealBatch(sh)
@@ -698,21 +676,6 @@ func (u *UDP) EndEpoch(int) {
 				}
 			}
 			u.dupes.Add(d.Dups)
-		}
-		for _, rng := range sh.done.Missing {
-			first, count := rng.First, rng.Count
-			if first < 0 || count <= 0 || first >= sh.sent {
-				continue
-			}
-			if count > sh.sent-first {
-				count = sh.sent - first
-			}
-			u.lost.Add(int64(count))
-			if st != nil {
-				for seq := first; seq < first+count; seq++ {
-					st.AddLoss(int(sh.from[seq]))
-				}
-			}
 		}
 	}
 }
@@ -963,12 +926,12 @@ func (u *UDP) readDone(sh *udpShard, deadline time.Time, attemptIO time.Duration
 	}
 }
 
-// flushShard runs one shard's barrier: flush, read done, and — in
-// deterministic mode — retransmit whatever the shard reports missing until
-// nothing is, the timeout expires, or the control channel fails. Missing
-// sequence ranges map back to whole sealed datagram images (by binary
-// search over their base sequence numbers); the shard's dedup absorbs any
-// frames of a resent datagram that had in fact arrived.
+// flushShard runs one shard's barrier: flush, read done, and retransmit
+// whatever the shard reports missing until nothing is, the timeout
+// expires, or the control channel fails. Missing sequence ranges map back
+// to whole sealed datagram images (by binary search over their base
+// sequence numbers); the shard's dedup absorbs any frames of a resent
+// datagram that had in fact arrived.
 //
 // Control I/O runs under bounded per-attempt deadlines within the overall
 // BarrierTimeout budget: a read timeout re-sends the flush (the shard
@@ -979,7 +942,7 @@ func (u *UDP) readDone(sh *udpShard, deadline time.Time, attemptIO time.Duration
 //
 // On success the terminal reply is in sh.done.
 func (u *UDP) flushShard(sh *udpShard) error {
-	//lint:ignore determinism barrier liveness deadline; deterministic mode retransmits to exactly-once receipt, so timing bounds waiting, never answer bits
+	//lint:ignore determinism barrier liveness deadline; the barrier retransmits to exactly-once receipt, so timing bounds waiting, never answer bits
 	deadline := time.Now().Add(u.opts.BarrierTimeout)
 	attemptIO := u.attemptTimeout()
 	var resend []batchio.Message
@@ -997,7 +960,7 @@ func (u *UDP) flushShard(sh *udpShard) error {
 			continue
 		}
 		done := &sh.done
-		if !u.opts.Deterministic || len(done.Missing) == 0 {
+		if len(done.Missing) == 0 {
 			return nil
 		}
 		if resends >= maxDetResends || !budgetLeft(deadline) {
@@ -1060,15 +1023,17 @@ func (u *UDP) setErr(err error) {
 	u.errMu.Unlock()
 }
 
-// Lost returns the frames the backend itself counted as lost: real losses
-// discovered at free-running barriers, plus whole rounds attributed to dead
-// shards. Deterministic-mode medium losses are not included (they never
-// become datagrams). Frame-denominated: a lost batch datagram counts once
-// per frame it carried.
+// Lost returns the frames the backend itself counted as lost: frames bound
+// for a dead shard, plus whole rounds of shards that died mid-barrier. Loss
+// drawn from the seeded model is not included (those frames never become
+// datagrams), nor is loss on the medium, which the barrier retransmits
+// away. Frame-denominated: a round counts once per frame it carried.
 func (u *UDP) Lost() int64 { return u.lost.Load() }
 
 // Duplicates returns the duplicated frames shards have discarded
-// (frame-denominated, like Lost).
+// (frame-denominated, like Lost). It is a lower bound on duplication in the
+// medium: a copy that lands after its shard's terminal barrier reply is
+// discarded with the round, unreported.
 func (u *UDP) Duplicates() int64 { return u.dupes.Load() }
 
 // Shards returns the shard count nodes are partitioned over.

@@ -27,7 +27,7 @@ func TestUDPFlushMidBatch(t *testing.T) {
 	f := newFixture(11, 40)
 	nw := network.New(f.g, network.Global{P: 0}, 11)
 	stats := network.NewStats(f.g.N())
-	u, err := transport.NewUDP(nw, transport.UDPOptions{Shards: 2, Deterministic: true, Stats: stats})
+	u, err := transport.NewUDP(nw, transport.UDPOptions{Shards: 2, Stats: stats})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestUDPBatchStraddlesMaxDatagram(t *testing.T) {
 	stats := network.NewStats(f.g.N())
 	const maxDG = 512 // the negotiation floor
 	u, err := transport.NewUDP(nw, transport.UDPOptions{
-		Shards: 2, Deterministic: true, Stats: stats, MaxDatagram: maxDG,
+		Shards: 2, Stats: stats, MaxDatagram: maxDG,
 	})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
@@ -169,9 +169,8 @@ func TestUDPRangeRetransmitFullyLostRound(t *testing.T) {
 	var mu sync.Mutex
 	proxies := make(map[int]*firstCopyDropProxy)
 	u, err := transport.NewUDP(udpNet, transport.UDPOptions{
-		Shards:        4,
-		Deterministic: true,
-		Stats:         stats,
+		Shards: 4,
+		Stats:  stats,
 		AddrRewrite: func(shard int, addr string) string {
 			p := newFirstCopyDropProxy(t, addr)
 			mu.Lock()
@@ -231,7 +230,6 @@ func TestUDPShardDeathMidBatch(t *testing.T) {
 	spawn := transport.SpawnExec(exe)
 	u, err := transport.NewUDP(nw, transport.UDPOptions{
 		Shards:         2,
-		Deterministic:  true,
 		Stats:          stats,
 		BarrierTimeout: 2 * time.Second,
 		RespawnBackoff: 10 * time.Millisecond,

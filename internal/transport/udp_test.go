@@ -16,7 +16,7 @@ import (
 func newDetUDP(t *testing.T, nw *network.Net, stats *network.Stats) *transport.UDP {
 	t.Helper()
 	u, err := transport.NewUDP(nw, transport.UDPOptions{
-		Deterministic: true, Shards: 4, Stats: stats,
+		Shards: 4, Stats: stats,
 	})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
@@ -74,43 +74,6 @@ func TestUDPDeterministicMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestUDPFreeRunningLossless drives the free-running barrier over a lossless
-// model: Deliver is optimistic, losses are discovered (not predicted), so on
-// an idle loopback the answers must match the simulator's lossless run and
-// the barrier must find nothing missing and nothing duplicated.
-func TestUDPFreeRunningLossless(t *testing.T) {
-	seed := uint64(5)
-	f := newFixture(seed, 60)
-	simNet := network.New(f.g, network.Global{P: 0}, seed)
-	udpNet := network.New(f.g, network.Global{P: 0}, seed)
-	stats := network.NewStats(f.g.N())
-	u, err := transport.NewUDP(udpNet, transport.UDPOptions{Shards: 3, Stats: stats})
-	if err != nil {
-		t.Fatalf("NewUDP: %v", err)
-	}
-	defer u.Close()
-	simR := countRunner(t, f, runner.ModeTree, simNet, seed, nil)
-	udpR := countRunner(t, f, runner.ModeTree, udpNet, seed, u)
-	for e := 0; e < 10; e++ {
-		sim, up := simR.RunEpoch(e), udpR.RunEpoch(e)
-		if sim != up {
-			t.Fatalf("epoch %d: simulator %+v, free-running udp %+v", e, sim, up)
-		}
-	}
-	if err := u.Err(); err != nil {
-		t.Fatalf("transport error: %v", err)
-	}
-	if u.Lost() != 0 || stats.TotalLosses() != 0 {
-		t.Fatalf("lossless loopback run lost %d datagrams (stats %d)", u.Lost(), stats.TotalLosses())
-	}
-	if u.Duplicates() != 0 || stats.TotalDuplicates() != 0 {
-		t.Fatalf("lossless loopback run saw %d duplicates", u.Duplicates())
-	}
-	if stats.TotalRxFrames() == 0 {
-		t.Fatal("no receive deltas reached stats")
-	}
-}
-
 // TestNewUDPRejectsBadOptions pins construction-time validation: a negative
 // respawn budget and a backoff cap below the initial backoff are refused
 // before any shard is spawned.
@@ -133,7 +96,7 @@ func TestNewUDPRejectsBadOptions(t *testing.T) {
 func TestUDPCloseIdempotent(t *testing.T) {
 	f := newFixture(3, 40)
 	nw := network.New(f.g, network.Global{P: 0}, 3)
-	u, err := transport.NewUDP(nw, transport.UDPOptions{Shards: 2, Deterministic: true})
+	u, err := transport.NewUDP(nw, transport.UDPOptions{Shards: 2})
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestPipelinedPoolGuard(t *testing.T) {
 		for i := 0; i < deployments; i++ {
 			dep := td.NewSyntheticDeployment(uint64(i+1), 300)
 			dep.SetGlobalLoss(0.2)
-			s, err := td.NewCountSession(dep, td.SchemeTD, uint64(i+1))
+			s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD), td.WithSeed(uint64(i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}

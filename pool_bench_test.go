@@ -26,7 +26,7 @@ func BenchmarkPoolEpochs(b *testing.B) {
 		for i := range ss {
 			dep := td.NewSyntheticDeployment(uint64(i+1), sensors)
 			dep.SetGlobalLoss(0.25)
-			s, err := td.NewCountSession(dep, schemeForBench, uint64(i+1))
+			s, err := td.Open(dep, td.Count(), td.WithScheme(schemeForBench), td.WithSeed(uint64(i+1)))
 			if err != nil {
 				b.Fatal(err)
 			}

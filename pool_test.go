@@ -15,7 +15,7 @@ func poolCountSession(t testing.TB, seed uint64, n int, udpShards int) *td.Sessi
 	dep := td.NewSyntheticDeployment(seed, n)
 	dep.SetGlobalLoss(0.25)
 	dep.UseUDPRuntime(udpShards)
-	s, err := td.NewCountSession(dep, td.SchemeTD, seed)
+	s, err := td.Open(dep, td.Count(), td.WithScheme(td.SchemeTD), td.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ func WithSeed(seed uint64) Option {
 
 // WithUDPTransport overrides the deployment's runtime selection for this
 // session with the multi-process UDP transport: nodes partition over shards
-// shard runtimes and every frame travels as a real loopback datagram, in the
-// deterministic mode whose answers are bit-identical to the in-process
+// shard runtimes and every frame travels as a real loopback datagram behind
+// an exactly-once barrier, so answers are bit-identical to the in-process
 // simulator (see Deployment.UseUDPRuntime). shards <= 0 selects the
 // simulator instead. It cannot be combined with InSet — a query set's
 // runtime is pinned when the set is created — and Open rejects the
@@ -186,7 +186,7 @@ func Open[R any](d *Deployment, q Query[R], opts ...Option) (*Session[R], error)
 		}
 		if udpShards > 0 {
 			u, err := transport.NewUDP(net, transport.UDPOptions{
-				Shards: udpShards, Deterministic: true, Stats: stats,
+				Shards: udpShards, Stats: stats,
 				Spawn: d.udpSpawner(),
 			})
 			if err != nil {

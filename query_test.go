@@ -2,19 +2,16 @@ package tributarydelta_test
 
 import (
 	"context"
-	"maps"
 	"runtime"
 	"testing"
 
 	td "tributarydelta"
 	"tributarydelta/internal/freq"
-	"tributarydelta/internal/xrand"
 )
 
 var paritySchemes = []td.Scheme{td.SchemeTAG, td.SchemeSD, td.SchemeTDCoarse, td.SchemeTD}
 
 const (
-	parityEpochs  = 8
 	paritySensors = 150
 	parityLoss    = 0.25
 )
@@ -24,189 +21,6 @@ func parityDep(t *testing.T, seed uint64) *td.Deployment {
 	dep := td.NewSyntheticDeployment(seed, paritySensors)
 	dep.SetGlobalLoss(parityLoss)
 	return dep
-}
-
-// assertScalarParity drives a legacy scalar session and its Open-built
-// counterpart in lock-step and requires bit-identical rounds and accounting.
-func assertScalarParity(t *testing.T, name string, scheme td.Scheme, seed uint64,
-	legacy, opened *td.Session[float64]) {
-	t.Helper()
-	for e := 0; e < parityEpochs; e++ {
-		want, got := legacy.RunEpoch(e), opened.RunEpoch(e)
-		if want != got {
-			t.Fatalf("%s %v seed %d epoch %d: legacy %+v, query %+v", name, scheme, seed, e, want, got)
-		}
-	}
-	if lw, gw := legacy.TotalWords(), opened.TotalWords(); lw != gw {
-		t.Fatalf("%s %v seed %d: words %d vs %d", name, scheme, seed, lw, gw)
-	}
-	if ls, gs := legacy.Stats(), opened.Stats(); ls != gs {
-		t.Fatalf("%s %v seed %d: stats %+v vs %+v", name, scheme, seed, ls, gs)
-	}
-}
-
-// TestGoldenParityScalarQueries pins the tentpole's compatibility claim:
-// every scalar dep.Open(Query…) session is bit-identical to its legacy
-// NewXSession counterpart across all four schemes and seeds 1–3.
-func TestGoldenParityScalarQueries(t *testing.T) {
-	value := func(_, node int) float64 { return float64(node%30 + 1) }
-	type scalarCase struct {
-		name   string
-		legacy func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error)
-		query  func() td.Query[float64]
-	}
-	cases := []scalarCase{
-		{"Count",
-			func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error) {
-				return td.NewCountSession(d, scheme, seed)
-			},
-			func() td.Query[float64] { return td.Count() }},
-		{"Sum",
-			func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error) {
-				return td.NewSumSession(d, scheme, seed, value)
-			},
-			func() td.Query[float64] { return td.Sum(value) }},
-		{"Min",
-			func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error) {
-				return td.NewMinSession(d, scheme, seed, value)
-			},
-			func() td.Query[float64] { return td.Min(value) }},
-		{"Max",
-			func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error) {
-				return td.NewMaxSession(d, scheme, seed, value)
-			},
-			func() td.Query[float64] { return td.Max(value) }},
-		{"Average",
-			func(d *td.Deployment, scheme td.Scheme, seed uint64) (*td.Session[float64], error) {
-				return td.NewAverageSession(d, scheme, seed, value)
-			},
-			func() td.Query[float64] { return td.Average(value) }},
-	}
-	for _, tc := range cases {
-		for _, scheme := range paritySchemes {
-			for seed := uint64(1); seed <= 3; seed++ {
-				dep := parityDep(t, seed)
-				legacy, err := tc.legacy(dep, scheme, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opened, err := td.Open(dep, tc.query(), td.WithScheme(scheme), td.WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertScalarParity(t, tc.name, scheme, seed, legacy, opened)
-			}
-		}
-	}
-}
-
-// TestGoldenParityMoments extends the parity pin to the Moments rounds.
-func TestGoldenParityMoments(t *testing.T) {
-	value := func(_, node int) float64 { return 10 + float64(node%7) }
-	for _, scheme := range paritySchemes {
-		for seed := uint64(1); seed <= 3; seed++ {
-			dep := parityDep(t, seed)
-			legacy, err := td.NewMomentsSession(dep, scheme, seed, value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opened, err := td.Open(dep, td.Moments(value), td.WithScheme(scheme), td.WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := 0; e < parityEpochs; e++ {
-				want, got := legacy.RunEpoch(e), opened.RunEpoch(e)
-				if want.Value != got.Answer || want.TrueContrib != got.TrueContrib ||
-					want.DeltaSize != got.DeltaSize {
-					t.Fatalf("Moments %v seed %d epoch %d: legacy %+v, query %+v", scheme, seed, e, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestGoldenParitySample extends the parity pin to the Sample rounds.
-func TestGoldenParitySample(t *testing.T) {
-	const k = 20
-	value := func(_, node int) float64 { return float64(node) }
-	for _, scheme := range paritySchemes {
-		for seed := uint64(1); seed <= 3; seed++ {
-			dep := parityDep(t, seed)
-			legacy, err := td.NewSampleSession(dep, scheme, seed, k, value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opened, err := td.Open(dep, td.Sample(k, value), td.WithScheme(scheme), td.WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := 0; e < parityEpochs; e++ {
-				want, got := legacy.RunEpoch(e), opened.RunEpoch(e)
-				if want.TrueContrib != got.TrueContrib {
-					t.Fatalf("Sample %v seed %d epoch %d: contrib %d vs %d", scheme, seed, e,
-						want.TrueContrib, got.TrueContrib)
-				}
-				wi, gi := want.Sample.Items(), got.Answer.Items()
-				if len(wi) != len(gi) {
-					t.Fatalf("Sample %v seed %d epoch %d: %d vs %d items", scheme, seed, e, len(wi), len(gi))
-				}
-				for i := range wi {
-					if wi[i] != gi[i] {
-						t.Fatalf("Sample %v seed %d epoch %d item %d: %+v vs %+v", scheme, seed, e, i, wi[i], gi[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestGoldenParityFrequentItems extends the parity pin to frequent items.
-func TestGoldenParityFrequentItems(t *testing.T) {
-	const perEpoch = 120
-	items := func(epoch, node int) []freq.Item {
-		src := xrand.NewSource(99, uint64(epoch), uint64(node))
-		z := xrand.NewZipf(src, 200, 1.3)
-		out := make([]freq.Item, perEpoch)
-		for i := range out {
-			out[i] = freq.Item(z.Draw())
-		}
-		return out
-	}
-	const epsilon, support = 0.002, 0.02
-	expectedN := float64(paritySensors * perEpoch)
-	for _, scheme := range paritySchemes {
-		for seed := uint64(1); seed <= 3; seed++ {
-			dep := parityDep(t, seed)
-			legacy, err := td.NewFrequentItemsSession(dep, scheme, seed, items, epsilon, support, expectedN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opened, err := td.Open(dep, td.FrequentItems(items, support, expectedN),
-				td.WithScheme(scheme), td.WithSeed(seed), td.WithEpsilon(epsilon))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := 0; e < 3; e++ {
-				want, got := legacy.RunEpoch(e), opened.RunEpoch(e)
-				if want.NEst != got.Answer.NEst || want.TrueContrib != got.TrueContrib {
-					t.Fatalf("FrequentItems %v seed %d epoch %d: %+v vs %+v", scheme, seed, e, want, got)
-				}
-				if len(want.Frequent) != len(got.Answer.Frequent) {
-					t.Fatalf("FrequentItems %v seed %d epoch %d: frequent %v vs %v",
-						scheme, seed, e, want.Frequent, got.Answer.Frequent)
-				}
-				for i := range want.Frequent {
-					if want.Frequent[i] != got.Answer.Frequent[i] {
-						t.Fatalf("FrequentItems %v seed %d epoch %d: frequent %v vs %v",
-							scheme, seed, e, want.Frequent, got.Answer.Frequent)
-					}
-				}
-				if !maps.Equal(want.Estimates, got.Answer.Estimates) {
-					t.Fatalf("FrequentItems %v seed %d epoch %d: estimates diverge", scheme, seed, e)
-				}
-			}
-		}
-	}
 }
 
 // TestQuantilesQuery exercises the new Quantiles facade end to end: under

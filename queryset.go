@@ -88,7 +88,7 @@ func (d *Deployment) NewQuerySet(seed uint64) *QuerySet {
 	}
 	if d.udpShards > 0 {
 		u, err := transport.NewUDP(qs.net, transport.UDPOptions{
-			Shards: d.udpShards, Deterministic: true, Spawn: d.udpSpawner(),
+			Shards: d.udpShards, Spawn: d.udpSpawner(),
 		})
 		if err != nil {
 			qs.initErr = fmt.Errorf("tributarydelta: udp runtime: %w", err)

@@ -8,11 +8,11 @@ import (
 func TestMinMaxSessions(t *testing.T) {
 	dep := NewSyntheticDeployment(11, 150)
 	value := func(_, node int) float64 { return float64(100 + node) }
-	minS, err := NewMinSession(dep, SchemeSD, 11, value)
+	minS, err := Open(dep, Min(value), WithScheme(SchemeSD), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxS, err := NewMaxSession(dep, SchemeSD, 11, value)
+	maxS, err := Open(dep, Max(value), WithScheme(SchemeSD), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func TestMinMaxSessions(t *testing.T) {
 func TestAverageSession(t *testing.T) {
 	dep := NewSyntheticDeployment(12, 200)
 	dep.SetGlobalLoss(0.1)
-	s, err := NewAverageSession(dep, SchemeTD, 12, func(_, node int) float64 {
+	s, err := Open(dep, Average(func(_, node int) float64 {
 		return 40 + float64(node%21)
-	})
+	}), WithScheme(SchemeTD), WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +47,19 @@ func TestAverageSession(t *testing.T) {
 
 func TestMomentsSession(t *testing.T) {
 	dep := NewSyntheticDeployment(13, 150)
-	s, err := NewMomentsSession(dep, SchemeTAG, 13, func(_, node int) float64 {
+	s, err := Open(dep, Moments(func(_, node int) float64 {
 		return 10 + float64(node%7)
-	})
+	}), WithScheme(SchemeTAG), WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := s.RunEpoch(0)
-	want := s.ExactValue(0)
-	if math.Abs(res.Value.Mean-want.Mean) > 1e-9 {
-		t.Fatalf("loss-free tree moments mean %v, want exact %v", res.Value.Mean, want.Mean)
+	want := s.ExactAnswer(0)
+	if math.Abs(res.Answer.Mean-want.Mean) > 1e-9 {
+		t.Fatalf("loss-free tree moments mean %v, want exact %v", res.Answer.Mean, want.Mean)
 	}
-	if math.Abs(res.Value.Variance-want.Variance) > 1e-6 {
-		t.Fatalf("variance %v, want %v", res.Value.Variance, want.Variance)
+	if math.Abs(res.Answer.Variance-want.Variance) > 1e-6 {
+		t.Fatalf("variance %v, want %v", res.Answer.Variance, want.Variance)
 	}
 }
 
@@ -67,47 +67,48 @@ func TestSampleSession(t *testing.T) {
 	dep := NewSyntheticDeployment(14, 150)
 	dep.SetGlobalLoss(0.1)
 	const k = 25
-	s, err := NewSampleSession(dep, SchemeTD, 14, k, func(_, node int) float64 {
+	s, err := Open(dep, Sample(k, func(_, node int) float64 {
 		return float64(node)
-	})
+	}), WithScheme(SchemeTD), WithSeed(14))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := s.RunEpoch(0)
-	if res.Sample.Len() != k {
-		t.Fatalf("sample size %d, want %d", res.Sample.Len(), k)
+	if res.Answer.Len() != k {
+		t.Fatalf("sample size %d, want %d", res.Answer.Len(), k)
 	}
 	seen := map[int]bool{}
-	for _, it := range res.Sample.Items() {
+	for _, it := range res.Answer.Items() {
 		if seen[it.Node] {
 			t.Fatal("node sampled twice")
 		}
 		seen[it.Node] = true
 	}
-	if _, err := NewSampleSession(dep, SchemeTD, 14, 0, nil); err == nil {
+	if _, err := Open(dep, Sample(0, nil), WithScheme(SchemeTD), WithSeed(14)); err == nil {
 		t.Fatal("zero capacity must be rejected")
 	}
 }
 
 func TestAllSessionsAcrossSchemes(t *testing.T) {
-	// Every constructor must work under every scheme.
+	// Every query must open under every scheme.
 	dep := NewSyntheticDeployment(15, 120)
 	dep.SetGlobalLoss(0.2)
 	value := func(_, node int) float64 { return float64(node%9 + 1) }
 	for _, scheme := range []Scheme{SchemeTAG, SchemeSD, SchemeTDCoarse, SchemeTD} {
-		if _, err := NewMinSession(dep, scheme, 15, value); err != nil {
+		opts := []Option{WithScheme(scheme), WithSeed(15)}
+		if _, err := Open(dep, Min(value), opts...); err != nil {
 			t.Fatalf("Min %v: %v", scheme, err)
 		}
-		if _, err := NewMaxSession(dep, scheme, 15, value); err != nil {
+		if _, err := Open(dep, Max(value), opts...); err != nil {
 			t.Fatalf("Max %v: %v", scheme, err)
 		}
-		if _, err := NewAverageSession(dep, scheme, 15, value); err != nil {
+		if _, err := Open(dep, Average(value), opts...); err != nil {
 			t.Fatalf("Average %v: %v", scheme, err)
 		}
-		if _, err := NewMomentsSession(dep, scheme, 15, value); err != nil {
+		if _, err := Open(dep, Moments(value), opts...); err != nil {
 			t.Fatalf("Moments %v: %v", scheme, err)
 		}
-		if _, err := NewSampleSession(dep, scheme, 15, 10, value); err != nil {
+		if _, err := Open(dep, Sample(10, value), opts...); err != nil {
 			t.Fatalf("Sample %v: %v", scheme, err)
 		}
 	}

@@ -38,17 +38,13 @@
 //	fmt.Println(res.Answer, res.TrueContrib)
 //
 // Deployment.UseUDPRuntime swaps the synchronous in-process simulator for
-// the multi-process UDP transport (internal/transport) in its deterministic
-// mode — answers stay bit-identical; see DESIGN.md §5 for the transport and
-// §6 for the query layer.
+// the multi-process UDP transport (internal/transport), whose exactly-once
+// barrier keeps answers bit-identical; see DESIGN.md §5 for the transport
+// and §6 for the query layer.
 //
 // Messages travel as real bytes: every partial result and synopsis is
 // serialized by the internal/wire codec layer, and all energy accounting
 // (SessionStats) is measured from encoded frame lengths.
-//
-// The original constructor-per-aggregate surface (NewCountSession,
-// NewSumSession, …) survives as thin deprecated shims over Open with
-// unchanged answers.
 //
 // The cmd/tdbench tool regenerates every table and figure of the paper's
 // evaluation; DESIGN.md covers the architecture, the wire format and the
@@ -59,7 +55,6 @@ import (
 	"fmt"
 	"math"
 
-	"tributarydelta/internal/freq"
 	"tributarydelta/internal/network"
 	"tributarydelta/internal/runner"
 	"tributarydelta/internal/topo"
@@ -170,8 +165,8 @@ func (d *Deployment) DominationFactor() float64 {
 // subsequently built from this deployment: nodes are partitioned over shards
 // shard runtimes (loopback processes, or in-process goroutines over real
 // sockets by default — see SetUDPNodeBinary) and every frame travels as a
-// real UDP datagram. The runtime runs in its deterministic mode, so answers
-// stay bit-identical to the in-process simulator. Sessions built with the
+// real UDP datagram. Its barrier delivers every surviving frame exactly
+// once, so answers stay bit-identical to the in-process simulator. Sessions built with the
 // UDP runtime own a shard fleet and should be released with Close when done.
 // shards <= 0 reverts to the simulator. WithUDPTransport overrides the choice
 // per session.
@@ -215,79 +210,5 @@ func closeOnErr(stop func(), err error) error {
 	}
 	return fmt.Errorf("tributarydelta: %w", err)
 }
-
-// NewCountSession builds a session counting the contributing sensors — the
-// paper's running example aggregate.
-//
-// Deprecated: use Open with Count.
-func NewCountSession(d *Deployment, scheme Scheme, seed uint64) (*Session[float64], error) {
-	return Open(d, Count(), WithScheme(scheme), WithSeed(seed))
-}
-
-// NewSumSession builds a session summing per-node readings supplied by
-// value(epoch, node). Readings must be non-negative.
-//
-// Deprecated: use Open with Sum.
-func NewSumSession(d *Deployment, scheme Scheme, seed uint64, value func(epoch, node int) float64) (*Session[float64], error) {
-	return Open(d, Sum(value), WithScheme(scheme), WithSeed(seed))
-}
-
-// FrequentItemsResult is the outcome of one frequent items round.
-type FrequentItemsResult struct {
-	// Epoch is the round number.
-	Epoch int
-	// Frequent lists the reported items (estimate > (s−ε)·N̂).
-	Frequent []freq.Item
-	// Estimates holds the per-item frequency estimates.
-	Estimates map[freq.Item]float64
-	// NEst is the estimated total number of item occurrences.
-	NEst float64
-	// TrueContrib is the exact number of sensors represented.
-	TrueContrib int
-}
-
-// FrequentItemsSession runs the §6 Tributary-Delta frequent items
-// algorithm.
-//
-// Deprecated: use Open with FrequentItems, which exposes the same rounds
-// through the generic Session API.
-type FrequentItemsSession struct {
-	s *Session[FrequentItemsAnswer]
-}
-
-// NewFrequentItemsSession builds a frequent items session: items(epoch,
-// node) supplies each node's item collection, epsilon is the total error
-// tolerance and support the reporting threshold (s ≫ ε). expectedN is an
-// upper bound on the total item occurrences per epoch (nodes are assumed to
-// know log N, §6.2).
-//
-// Deprecated: use Open with FrequentItems and WithEpsilon.
-func NewFrequentItemsSession(d *Deployment, scheme Scheme, seed uint64,
-	items func(epoch, node int) []freq.Item, epsilon, support float64, expectedN float64) (*FrequentItemsSession, error) {
-	if epsilon <= 0 || support <= epsilon {
-		return nil, fmt.Errorf("tributarydelta: need 0 < epsilon < support, got eps=%v s=%v", epsilon, support)
-	}
-	s, err := Open(d, FrequentItems(items, support, expectedN),
-		WithScheme(scheme), WithSeed(seed), WithEpsilon(epsilon))
-	if err != nil {
-		return nil, err
-	}
-	return &FrequentItemsSession{s: s}, nil
-}
-
-// RunEpoch executes one frequent items round.
-func (s *FrequentItemsSession) RunEpoch(epoch int) FrequentItemsResult {
-	res := s.s.RunEpoch(epoch)
-	return FrequentItemsResult{
-		Epoch:       epoch,
-		Frequent:    res.Answer.Frequent,
-		Estimates:   res.Answer.Estimates,
-		NEst:        res.Answer.NEst,
-		TrueContrib: res.TrueContrib,
-	}
-}
-
-// Close releases the session's UDP runtime, if enabled; see Session.Close.
-func (s *FrequentItemsSession) Close() { s.s.Close() }
 
 func log2(x float64) float64 { return math.Log2(x) }

@@ -10,7 +10,7 @@ import (
 
 func TestCountSessionLossFreeTree(t *testing.T) {
 	dep := NewSyntheticDeployment(1, 200)
-	s, err := NewCountSession(dep, SchemeTAG, 1)
+	s, err := Open(dep, Count(), WithScheme(SchemeTAG), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSumSessionSchemes(t *testing.T) {
 	dep.SetGlobalLoss(0.2)
 	value := func(_, node int) float64 { return float64(node % 30) }
 	for _, scheme := range []Scheme{SchemeTAG, SchemeSD, SchemeTDCoarse, SchemeTD} {
-		s, err := NewSumSession(dep, scheme, 2, value)
+		s, err := Open(dep, Sum(value), WithScheme(scheme), WithSeed(2))
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -57,7 +57,7 @@ func TestSumSessionSchemes(t *testing.T) {
 func TestRegionalLossSetting(t *testing.T) {
 	dep := NewSyntheticDeployment(3, 200)
 	dep.SetRegionalLoss(0, 0, 10, 10, 0.9, 0)
-	s, err := NewCountSession(dep, SchemeSD, 3)
+	s, err := Open(dep, Count(), WithScheme(SchemeSD), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLabDeployment(t *testing.T) {
 	if d := dep.DominationFactor(); d < 1.5 {
 		t.Fatalf("lab domination factor %v too low", d)
 	}
-	s, err := NewSumSession(dep, SchemeTD, 4, dep.Scenario().Light)
+	s, err := Open(dep, Sum(dep.Scenario().Light), WithScheme(SchemeTD), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestFrequentItemsSession(t *testing.T) {
 		}
 		return out
 	}
-	s, err := NewFrequentItemsSession(dep, SchemeTD, 5, items, 0.001, 0.01,
-		float64(dep.Sensors()*perEpoch))
+	s, err := Open(dep, FrequentItems(items, 0.01, float64(dep.Sensors()*perEpoch)),
+		WithScheme(SchemeTD), WithSeed(5), WithEpsilon(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.RunEpoch(0)
+	res := s.RunEpoch(0).Answer
 	if len(res.Frequent) == 0 {
 		t.Fatal("skewed stream must yield frequent items")
 	}
@@ -131,10 +131,14 @@ func TestFrequentItemsSession(t *testing.T) {
 func TestFrequentItemsSessionValidation(t *testing.T) {
 	dep := NewSyntheticDeployment(6, 100)
 	items := func(int, int) []freq.Item { return nil }
-	if _, err := NewFrequentItemsSession(dep, SchemeTD, 6, items, 0, 0.01, 100); err == nil {
-		t.Fatal("epsilon 0 must be rejected")
+	// Open reads epsilon 0 as "default support/10", so the non-positive
+	// case is probed with a negative epsilon.
+	if _, err := Open(dep, FrequentItems(items, 0.01, 100),
+		WithScheme(SchemeTD), WithSeed(6), WithEpsilon(-0.001)); err == nil {
+		t.Fatal("negative epsilon must be rejected")
 	}
-	if _, err := NewFrequentItemsSession(dep, SchemeTD, 6, items, 0.02, 0.01, 100); err == nil {
+	if _, err := Open(dep, FrequentItems(items, 0.01, 100),
+		WithScheme(SchemeTD), WithSeed(6), WithEpsilon(0.02)); err == nil {
 		t.Fatal("support <= epsilon must be rejected")
 	}
 }

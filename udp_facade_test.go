@@ -14,7 +14,7 @@ import (
 )
 
 // TestUDPSessionMatchesSimulator opens the same Count query on the
-// synchronous simulator and on the UDP fleet (deterministic mode): every
+// synchronous simulator and on the UDP fleet: every
 // epoch's full Result must be identical, the fleet must stay error-free, and
 // the receive-side accounting must be populated with zero duplicates.
 func TestUDPSessionMatchesSimulator(t *testing.T) {
